@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: warnings-clean build, full test suite, a static lint
-# of the paper's square-root design, the semantic-lint gate over every
+# of the paper's square-root design, a clique-allocation scaling guard (a
+# 400-op design under a 10 s timeout), the semantic-lint gate over every
 # built-in design, a static-timing gate (path-level STA over every
 # built-in, cross-validated against the estimator, plus a must-fail
 # tight-clock run), a fixed-seed differential fuzz campaign (plus an
@@ -31,6 +32,12 @@ cmake -B build -S . -DMPHLS_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 ./build/src/cli/mphls lint examples/sqrt.bdl
+
+# --- Clique scaling guard: clique FU + register allocation of a seeded
+# 400-op chain must finish well inside 10 s (the bitset partition takes a
+# fraction of a second; a return to the O(n^4) loop takes tens of seconds).
+timeout 10 ./build/src/cli/mphls synth --fu-alloc clique --reg-alloc clique \
+  --quiet tests/fixtures/clique/chain400.bdl
 
 # --- Release build gate: -O3 turns on optimizer-driven diagnostics that
 # RelWithDebInfo never sees (GCC 12's -Wrestrict insert-path analysis

@@ -8,6 +8,7 @@
 
 #include "alloc/clique.h"
 #include "ir/deps.h"
+#include "obs/trace.h"
 
 namespace mphls {
 
@@ -354,7 +355,11 @@ FuBinding byClique(const Function& fn, const Schedule& sched,
         g.addEdge(i, j);
     }
   }
-  CliqueCover cover = cliquePartition(g);
+  CliqueCover cover;
+  {
+    obs::TraceSpan span("alloc.clique", [&] { return compatSizeArg(g); });
+    cover = cliquePartition(g);
+  }
 
   std::vector<FuInstance> fus(cover.count);
   std::vector<int> fuOf(ops.size(), -1);

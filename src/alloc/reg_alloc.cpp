@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "alloc/clique.h"
+#include "obs/trace.h"
 
 namespace mphls {
 
@@ -54,7 +55,11 @@ RegAssignment byClique(const LifetimeInfo& lt) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
       if (!lt.items[i].live.overlaps(lt.items[j].live)) g.addEdge(i, j);
-  CliqueCover cover = cliquePartition(g);
+  CliqueCover cover;
+  {
+    obs::TraceSpan span("alloc.clique", [&] { return compatSizeArg(g); });
+    cover = cliquePartition(g);
+  }
   RegAssignment out;
   out.regOfItem.assign(n, -1);
   for (std::size_t i = 0; i < n; ++i)

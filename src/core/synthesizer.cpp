@@ -161,22 +161,28 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
   {
     obs::TraceSpan span("stage.allocate", &st.allocate);
     lib = HwLibrary::defaultLibrary();
-    lt = computeLifetimes(fn, sched, options_.latencies);
-    regs = allocateRegisters(lt, options_.regMethod);
     {
+      obs::TraceSpan sub("alloc.lifetimes");
+      lt = computeLifetimes(fn, sched, options_.latencies);
+    }
+    {
+      obs::TraceSpan sub("alloc.reg");
+      regs = allocateRegisters(lt, options_.regMethod);
       std::string msg = validateRegAssignment(lt, regs);
       MPHLS_CHECK(msg.empty(), "invalid register allocation: " << msg);
     }
-    binding = allocateFus(fn, sched, lt, regs, lib,
-                          options_.fuMethod, options_.latencies);
     {
+      obs::TraceSpan sub("alloc.fu");
+      binding = allocateFus(fn, sched, lt, regs, lib,
+                            options_.fuMethod, options_.latencies);
       std::string msg =
           validateFuBinding(fn, sched, binding, lib, options_.latencies);
       MPHLS_CHECK(msg.empty(), "invalid FU binding: " << msg);
     }
-    ic = buildInterconnect(fn, sched, lt, regs, binding, lib,
-                           options_.latencies);
     {
+      obs::TraceSpan sub("alloc.interconnect");
+      ic = buildInterconnect(fn, sched, lt, regs, binding, lib,
+                             options_.latencies);
       std::string msg = validateInterconnect(ic);
       MPHLS_CHECK(msg.empty(), "invalid interconnect: " << msg);
     }

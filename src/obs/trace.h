@@ -25,6 +25,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mphls::obs {
@@ -117,18 +118,34 @@ class Tracer {
 /// same stage can never disagree.
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string name, double* accumSeconds = nullptr)
-      : TraceSpan(std::move(name), std::string(), accumSeconds) {}
+  explicit TraceSpan(std::string_view name, double* accumSeconds = nullptr)
+      : TraceSpan(name, std::string(), accumSeconds) {}
 
-  TraceSpan(std::string name, std::string arg,
+  TraceSpan(std::string_view name, std::string arg,
             double* accumSeconds = nullptr)
       : accum_(accumSeconds), emit_(Tracer::global().enabled()) {
     if (!emit_ && accum_ == nullptr) return;  // null-sink fast path
     startMicros_ = Tracer::global().nowMicros();
     if (emit_) {
-      name_ = std::move(name);
+      name_ = name;
       Tracer::global().beginSpanAt(name_, startMicros_, std::move(arg));
     }
+  }
+
+  /// A span whose detail payload (typically the size of the work) is
+  /// built by `makeArg()` only when the span is emitted, so computing it
+  /// costs nothing while tracing is off. The payload is built before the
+  /// span's clock starts.
+  template <class MakeArg,
+            class = std::enable_if_t<
+                std::is_invocable_r_v<std::string, MakeArg&>>>
+  TraceSpan(std::string_view name, MakeArg makeArg)
+      : emit_(Tracer::global().enabled()) {
+    if (!emit_) return;
+    std::string arg = makeArg();
+    name_ = name;
+    startMicros_ = Tracer::global().nowMicros();
+    Tracer::global().beginSpanAt(name_, startMicros_, std::move(arg));
   }
 
   ~TraceSpan() {

@@ -142,6 +142,15 @@ TEST(Clique, CoverValidityDetectsBrokenCover) {
   bad.group = {0, 0};
   bad.count = 1;
   EXPECT_FALSE(coverIsValid(g, bad));
+
+  // A group id at or past `count` is rejected before cliques() could
+  // index out of bounds with it.
+  CliqueCover outOfRange;
+  outOfRange.group = {0, 1};
+  outOfRange.count = 1;
+  EXPECT_FALSE(coverIsValid(g, outOfRange));
+  outOfRange.count = 2;
+  EXPECT_TRUE(coverIsValid(g, outOfRange));
 }
 
 // ------------------------------------------------------------ register alloc

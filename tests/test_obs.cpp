@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -97,6 +99,29 @@ TEST(Tracer, DisabledSpanStillAccumulatesSeconds) {
   EXPECT_GE(acc, 0.0);
   const std::size_t events = obs::Tracer::global().eventCount();
   EXPECT_EQ(events, 0u);
+}
+
+TEST(Tracer, LazyArgBuiltOnlyWhenEmitting) {
+  TracerReset guard;
+  auto& tr = obs::Tracer::global();
+  int built = 0;
+  auto makeArg = [&] {
+    ++built;
+    return std::string("n=3");
+  };
+  { obs::TraceSpan s("lazy", makeArg); }
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(tr.eventCount(), 0u);
+
+  tr.enable();
+  { obs::TraceSpan s("lazy", makeArg); }
+  tr.disable();
+  EXPECT_EQ(built, 1);
+  bool sawArg = false;
+  for (const auto& track : tr.snapshot())
+    for (const auto& e : track.events)
+      if (e.phase == 'B' && e.name == "lazy") sawArg = e.arg == "n=3";
+  EXPECT_TRUE(sawArg);
 }
 
 TEST(Tracer, ChromeTraceJsonSchema) {
@@ -469,6 +494,68 @@ TEST(SimTrace, StageSpansAndStageTimesAgreeExactly) {
   EXPECT_DOUBLE_EQ(spanSeconds["stage.control"], st.control);
   EXPECT_DOUBLE_EQ(spanSeconds["stage.estimate"], st.estimate);
   EXPECT_DOUBLE_EQ(spanSeconds["stage.check"], st.check);
+}
+
+TEST(SimTrace, AllocSubSpansNestUnderStageAllocate) {
+  TracerReset guard;
+  SynthesisOptions o;
+  o.fuMethod = FuAllocMethod::Clique;
+  o.regMethod = RegAllocMethod::Clique;
+  obs::Tracer::global().enable();
+  Synthesizer synth(o);
+  SynthesisResult r = synth.synthesizeSource(designs::diffeqSource());
+  obs::Tracer::global().disable();
+
+  // Parent of every alloc.* span, in order; clique args in order; and the
+  // stage.allocate span's own duration.
+  std::vector<std::pair<std::string, std::string>> nesting;
+  std::vector<std::string> cliqueArgs;
+  double allocateSpan = 0;
+  for (const auto& track : obs::Tracer::global().snapshot()) {
+    std::vector<const obs::TraceEvent*> stack;
+    for (const auto& e : track.events) {
+      if (e.phase == 'B') {
+        if (e.name.rfind("alloc.", 0) == 0)
+          nesting.emplace_back(e.name,
+                               stack.empty() ? "" : stack.back()->name);
+        if (e.name == "alloc.clique") cliqueArgs.push_back(e.arg);
+        stack.push_back(&e);
+      } else if (e.phase == 'E') {
+        ASSERT_FALSE(stack.empty());
+        if (e.name == "stage.allocate")
+          allocateSpan += (e.tsMicros - stack.back()->tsMicros) / 1e6;
+        stack.pop_back();
+      }
+    }
+  }
+
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"alloc.lifetimes", "stage.allocate"},
+      {"alloc.reg", "stage.allocate"},
+      {"alloc.clique", "alloc.reg"},
+      {"alloc.fu", "stage.allocate"},
+      {"alloc.clique", "alloc.fu"},
+      {"alloc.interconnect", "stage.allocate"}};
+  EXPECT_EQ(nesting, want);
+
+  // The register graph has one node per storage item; both args have the
+  // n=<nodes> e=<edges> shape.
+  ASSERT_EQ(cliqueArgs.size(), 2u);
+  const std::string regNodes =
+      "n=" + std::to_string(r.design.lifetimes.items.size()) + " e=";
+  EXPECT_EQ(cliqueArgs[0].rfind(regNodes, 0), 0u) << cliqueArgs[0];
+  for (const std::string& arg : cliqueArgs) {
+    std::size_t n = 0, e = 0;
+    char tail = 0;
+    EXPECT_EQ(std::sscanf(arg.c_str(), "n=%zu e=%zu%c", &n, &e, &tail), 2)
+        << arg;
+    EXPECT_GT(n, 0u) << arg;
+    EXPECT_LE(e, n * (n - 1) / 2) << arg;
+  }
+
+  // Sub-spans carry no accumulator: the stage total is still exactly the
+  // stage.allocate span.
+  EXPECT_DOUBLE_EQ(allocateSpan, r.stages.allocate);
 }
 
 // -------------------------------------------------- worker track names
