@@ -4,8 +4,8 @@
 # 400-op design under a 10 s timeout), the semantic-lint gate over every
 # built-in design, a static-timing gate (path-level STA over every
 # built-in, cross-validated against the estimator, plus a must-fail
-# tight-clock run), a fixed-seed differential fuzz campaign (plus an
-# injected-miscompile round trip), the formal equivalence gate (`mphls
+# tight-clock run), a fixed-seed differential fuzz campaign (plus injected
+# miscompile, schedule-shift and operand-swap round trips), the formal equivalence gate (`mphls
 # prove` over every built-in at every opt level, plus must-fail runs for
 # each injected bug class), a bytecode-VM oracle gate (200 seeds co-
 # simulated on both the VM and the interpreters, zero divergences
@@ -76,6 +76,21 @@ if ./build/src/cli/mphls fuzz --seeds 10 --matrix quick --inject mul \
   echo "fuzz: injected miscompile was NOT detected" >&2
   exit 1
 fi
+
+# ...and so must the post-synthesis mutations (a schedule shifted one step
+# early, a swapped operand binding) on the standard matrix, where the
+# one-hot points reuse their binary twin's design and checks: the mutated
+# design is the one the shared oracle checks and simulates.
+# Exit 1 is "failures found"; anything else is a crash or a usage error.
+for bug in sched bind; do
+  status=0
+  ./build/src/cli/mphls fuzz --seeds 10 --inject "$bug" --no-save \
+    --quiet > /dev/null || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "fuzz: injected $bug mutation exited $status, want 1 (caught)" >&2
+    exit 1
+  fi
+done
 
 # --- Bytecode-VM oracle gate: every one of 200 seeds runs on both the VM
 # and the tree-walking interpreters (100% cross-check sampling is implied

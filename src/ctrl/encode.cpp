@@ -1,6 +1,7 @@
 #include "ctrl/encode.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/bitutil.h"
 
@@ -129,6 +130,48 @@ std::vector<bool> signalValues(const CtrlState& st, const SignalLayout& L,
   return v;
 }
 
+/// A cover with every cube's literals and outputs packed into 64-bit
+/// words, so matching one cube costs a word operation or two however wide
+/// the input is.
+struct PackedCover {
+  std::size_t cubes = 0, inWords = 0, outWords = 0;
+  std::vector<std::uint64_t> care, value, out;  ///< row-major per cube
+
+  explicit PackedCover(const SopCover& c)
+      : cubes(c.cubes.size()),
+        inWords(((std::size_t)c.numInputs + 63) / 64),
+        outWords(((std::size_t)c.numOutputs + 63) / 64),
+        care(cubes * inWords, 0),
+        value(cubes * inWords, 0),
+        out(cubes * outWords, 0) {
+    for (std::size_t k = 0; k < cubes; ++k) {
+      const Cube& cube = c.cubes[k];
+      for (std::size_t i = 0; i < cube.in.size(); ++i) {
+        if (cube.in[i] == 2) continue;
+        const std::uint64_t bit = 1ULL << (i % 64);
+        care[k * inWords + i / 64] |= bit;
+        if (cube.in[i] == 1) value[k * inWords + i / 64] |= bit;
+      }
+      for (std::size_t o = 0; o < cube.out.size(); ++o)
+        if (cube.out[o]) out[k * outWords + o / 64] |= 1ULL << (o % 64);
+    }
+  }
+
+  /// OR of the matching cubes' outputs; `x` holds `inWords` words.
+  [[nodiscard]] std::vector<std::uint64_t> eval(
+      const std::vector<std::uint64_t>& x) const {
+    std::vector<std::uint64_t> r(outWords, 0);
+    for (std::size_t k = 0; k < cubes; ++k) {
+      bool match = true;
+      for (std::size_t w = 0; w < inWords && match; ++w)
+        match = ((x[w] ^ value[k * inWords + w]) & care[k * inWords + w]) == 0;
+      if (!match) continue;
+      for (std::size_t w = 0; w < outWords; ++w) r[w] |= out[k * outWords + w];
+    }
+    return r;
+  }
+};
+
 }  // namespace
 
 EncodedFsm encodeController(const Controller& ctrl,
@@ -219,6 +262,72 @@ EncodedFsm encodeController(const Controller& ctrl,
   out.logic = cover;
   out.minimizedLogic = minimizeCover(cover);
   return out;
+}
+
+std::string validateEncoding(const EncodedFsm& fsm, const Controller& ctrl) {
+  std::ostringstream oss;
+  const std::size_t n = ctrl.numStates();
+  if (n == 0) return {};
+  const int bits = fsm.stateBits;
+  if (fsm.codeOf.size() != n || bits < 1 || bits > 64 ||
+      fsm.logic.numInputs != bits + 1 ||
+      fsm.minimizedLogic.numInputs != bits + 1 ||
+      fsm.minimizedLogic.numOutputs != fsm.logic.numOutputs ||
+      fsm.logic.numOutputs < bits) {
+    oss << "encoding shape: " << fsm.codeOf.size() << " codes for " << n
+        << " states, " << bits << " state bits, cover inputs "
+        << fsm.logic.numInputs << "/" << fsm.minimizedLogic.numInputs;
+    return oss.str();
+  }
+  const std::uint64_t mask = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+
+  std::vector<std::pair<std::uint64_t, std::size_t>> byCode;
+  byCode.reserve(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    if ((fsm.codeOf[s] & ~mask) != 0) {
+      oss << "state " << s << " code 0x" << std::hex << fsm.codeOf[s]
+          << " does not fit in " << std::dec << bits << " state bits";
+      return oss.str();
+    }
+    byCode.emplace_back(fsm.codeOf[s], s);
+  }
+  std::sort(byCode.begin(), byCode.end());
+  for (std::size_t i = 1; i < byCode.size(); ++i)
+    if (byCode[i].first == byCode[i - 1].first) {
+      oss << "states " << byCode[i - 1].second << " and " << byCode[i].second
+          << " share code 0x" << std::hex << byCode[i].first;
+      return oss.str();
+    }
+
+  const PackedCover raw(fsm.logic), min(fsm.minimizedLogic);
+  std::vector<std::uint64_t> x(raw.inWords, 0);
+  for (std::size_t s = 0; s < n; ++s) {
+    const CtrlState& st = ctrl.states[s];
+    for (int cond = 0; cond <= 1; ++cond) {
+      // Inputs: the state code in bits [0, stateBits), the branch
+      // condition at bit stateBits.
+      std::fill(x.begin(), x.end(), 0);
+      x[0] = fsm.codeOf[s];
+      if (cond) x[(std::size_t)bits / 64] |= 1ULL << (bits % 64);
+      const std::vector<std::uint64_t> want = raw.eval(x);
+      if (min.eval(x) != want) {
+        oss << "state " << s << " cond " << cond
+            << ": minimized control logic differs from the raw cover";
+        return oss.str();
+      }
+      const StateId next = st.conditional ? (cond ? st.nextTaken : st.nextNot)
+                           : st.halt      ? st.id
+                                          : st.next;
+      const std::uint64_t got = want[0] & mask;
+      if (!next.valid() || next.index() >= n ||
+          got != fsm.codeOf[next.index()]) {
+        oss << "state " << s << " cond " << cond << ": next-state bits 0x"
+            << std::hex << got << " are not the successor's code";
+        return oss.str();
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace mphls

@@ -46,4 +46,13 @@ struct EncodedFsm {
                                           const FuBinding& binding,
                                           StateEncoding encoding);
 
+/// Audit an encoding against the controller it was built from: state codes
+/// are distinct and fit in `stateBits`, and at every state × branch
+/// condition the minimized cover computes the raw cover's outputs, whose
+/// next-state bits are the successor state's code. Returns "" when sound,
+/// else the first violation. Cubes are matched word-parallel, so the cost
+/// is linear in states × cubes at any input width.
+[[nodiscard]] std::string validateEncoding(const EncodedFsm& fsm,
+                                           const Controller& ctrl);
+
 }  // namespace mphls

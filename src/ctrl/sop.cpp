@@ -7,10 +7,11 @@
 
 namespace mphls {
 
-bool Cube::matches(std::uint64_t inputBits) const {
+bool Cube::matches(std::span<const std::uint64_t> inputWords) const {
   for (std::size_t i = 0; i < in.size(); ++i) {
     if (in[i] == 2) continue;
-    bool bit = (inputBits >> i) & 1;
+    const std::size_t w = i / 64;
+    bool bit = w < inputWords.size() && ((inputWords[w] >> (i % 64)) & 1);
     if (bit != (in[i] == 1)) return false;
   }
   return true;
@@ -31,10 +32,11 @@ bool Cube::covers(const Cube& o) const {
   return true;
 }
 
-std::vector<bool> SopCover::eval(std::uint64_t inputBits) const {
+std::vector<bool> SopCover::eval(
+    std::span<const std::uint64_t> inputWords) const {
   std::vector<bool> out(static_cast<std::size_t>(numOutputs), false);
   for (const Cube& c : cubes) {
-    if (!c.matches(inputBits)) continue;
+    if (!c.matches(inputWords)) continue;
     for (std::size_t o = 0; o < out.size(); ++o)
       if (c.out[o]) out[o] = true;
   }

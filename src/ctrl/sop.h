@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,14 @@ struct Cube {
   std::vector<std::uint8_t> in;
   std::vector<std::uint8_t> out;
 
-  [[nodiscard]] bool matches(std::uint64_t inputBits) const;
+  /// Input i is bit i % 64 of word i / 64; words past the end read as 0,
+  /// so covers with more than 64 inputs (a 64-state one-hot controller
+  /// plus its branch condition) evaluate without truncation.
+  [[nodiscard]] bool matches(std::span<const std::uint64_t> inputWords) const;
+  /// Single-word convenience: inputs 64 and up read as 0.
+  [[nodiscard]] bool matches(std::uint64_t inputBits) const {
+    return matches(std::span<const std::uint64_t>(&inputBits, 1));
+  }
   [[nodiscard]] int literalCount() const;
   /// True when this cube's input space contains `o`'s entirely.
   [[nodiscard]] bool covers(const Cube& o) const;
@@ -33,8 +41,13 @@ struct SopCover {
   int numOutputs = 0;
   std::vector<Cube> cubes;
 
-  /// Evaluate: OR of all matching cubes' outputs.
-  [[nodiscard]] std::vector<bool> eval(std::uint64_t inputBits) const;
+  /// Evaluate: OR of all matching cubes' outputs (input layout as in
+  /// Cube::matches).
+  [[nodiscard]] std::vector<bool> eval(
+      std::span<const std::uint64_t> inputWords) const;
+  [[nodiscard]] std::vector<bool> eval(std::uint64_t inputBits) const {
+    return eval(std::span<const std::uint64_t>(&inputBits, 1));
+  }
 
   [[nodiscard]] int termCount() const { return (int)cubes.size(); }
   [[nodiscard]] int literalCount() const;

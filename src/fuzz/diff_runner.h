@@ -4,19 +4,28 @@
 // the behavioral interpreter on the *unoptimized* compile (so optimizer
 // bugs are caught, not baked into the oracle), then sweeps a configurable
 // synthesis matrix — scheduler × allocator (FU + register method) ×
-// controller style (state encoding) × {narrow on/off} × latency model —
-// and for every matrix point:
+// controller style (state encoding) × {narrow on/off} × latency model.
+// Each distinct input is computed once:
 //
-//   1. synthesizes the design with the stage-exit checkers armed
-//      (SynthesisOptions::check), sharing the frontend through
-//      FrontendCache so the parse/optimize cost is paid once per
-//      (program, opt level) rather than per point;
-//   2. gates the finished design through the full checkDesign/lint pass;
-//   3. co-simulates the RTL against the golden outputs on several input
-//      patterns (all-zeros, all-ones, seeded random).
+//   1. the frontend is shared through FrontendCache, so parse/optimize is
+//      paid once per (program, opt level); narrowing, the Mul->Add
+//      injection and the semantic lints run once per (opt level, narrow);
+//   2. points that differ only in their state encoding share one design
+//      (the tutorial's §2 encodes the controller after the schedule, the
+//      allocation and the controller are fixed): one synthesis, one STA
+//      run, one checkDesign/lint pass and one set of co-simulations on
+//      all-zeros, all-ones and seeded-random inputs. The synthesizer's
+//      stage-exit checkers are off while this oracle runs (it checks the
+//      finished, possibly mutated design instead) and on under --no-check;
+//   3. only the encoding tail runs per point: encodeController,
+//      estimateArea and the encoding oracle (validateEncoding: distinct
+//      codes, minimized logic equal to the raw cover, next-state bits equal
+//      to the successor's code).
 //
-// Any disagreement — a mismatch, a check finding, a simulator that never
-// halts, or an exception out of the pipeline — is recorded as a
+// A shared design's verdict is copied to each of its points with that
+// point's label, in point order, so the report reads as if every point ran
+// alone. Any disagreement — a mismatch, a check finding, a simulator that
+// never halts, or an exception out of the pipeline — is recorded as a
 // PointFailure naming the exact matrix point, which is what the reducer
 // and the corpus replay key on.
 #pragma once
@@ -47,8 +56,9 @@ struct MatrixPoint {
   ///  lat=unit fus=2".
   [[nodiscard]] std::string label() const;
 
-  /// Synthesis options for this point (check armed, narrow handled by the
-  /// runner itself so the narrowed IR is shared between points).
+  /// Synthesis options reproducing this point on its own: stage-exit checks
+  /// armed, narrowing off (runSource narrows the shared frontend itself and
+  /// disarms the stage-exit checks while its own oracle runs).
   [[nodiscard]] SynthesisOptions toOptions() const;
 
   /// Whether the schedule is produced under the resource limits (false
@@ -125,7 +135,9 @@ struct PointFailure {
   MatrixPoint point;
   std::string kind;    ///< "compile" | "nonterminating" | "check" |
                        ///< "mismatch" | "rtl-timeout" | "error" |
-                       ///< "vm-divergence" | "vm-divergence-behav"
+                       ///< "vm-divergence" | "vm-divergence-behav" |
+                       ///< "sta-crash" | "sta-negative-slack" |
+                       ///< "sta-divergence" | "encoding"
   std::string detail;
   int trial = -1;      ///< input-pattern index for co-simulation failures
 
@@ -143,8 +155,13 @@ struct PointFailure {
 struct ProgramVerdict {
   std::uint64_t seed = 0;
   bool compiled = false;
+  /// Matrix coverage, not work done: a point counts as run when its design
+  /// was synthesized, and every trial of a shared design's co-simulation
+  /// counts once per point sharing it. A clean standard-matrix seed reports
+  /// 24 points and 96 simulations while running 12 syntheses, 12 STA runs
+  /// and 48 RTL simulations.
   int pointsRun = 0;       ///< points fully synthesized
-  long simulations = 0;    ///< co-simulation trials executed
+  long simulations = 0;    ///< co-simulation trials accounted to points
   std::vector<PointFailure> failures;
 
   [[nodiscard]] bool ok() const { return compiled && failures.empty(); }
@@ -164,7 +181,9 @@ struct DiffOptions {
   InjectedBug inject = InjectedBug::None;
   /// Test hooks: mutate the optimized IR before the backend (a synthetic
   /// miscompile), or the finished result before checking/simulation (a
-  /// synthetic corrupted design).
+  /// synthetic corrupted design). Both see the full point, so setting
+  /// either makes every point synthesize and check its own design. The
+  /// semantic lints read the function handed to the backend.
   std::function<void(Function&, const MatrixPoint&)> preBackend;
   std::function<void(SynthesisResult&, const MatrixPoint&)> postSynthesis;
   std::string top;

@@ -2,6 +2,7 @@
 // state encodings, control-logic generation, and microcode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/bitutil.h"
@@ -169,6 +170,101 @@ TEST(Encode, OneHotUsesFewerLiteralsPerTerm) {
   double binAvg = (double)bin.logic.literalCount() / bin.logic.termCount();
   double hotAvg = (double)hot.logic.literalCount() / hot.logic.termCount();
   EXPECT_LT(hotAvg, binAvg);  // single-literal state decode
+}
+
+/// A 64-state controller cycling 0 -> 1 -> ... -> 63 (halt): every even
+/// state branches (taken: next state, not taken: the one after) and loads
+/// register 0, so the cover has one control signal besides the next state.
+Controller sixtyFourStateController(InterconnectResult& ic) {
+  ic.regInput.resize(1);
+  Controller ctrl;
+  const std::size_t n = 64;
+  for (std::size_t s = 0; s < n; ++s) {
+    CtrlState st;
+    st.id = StateId(s);
+    if (s + 1 == n) {
+      st.halt = true;
+    } else if (s % 2 == 0) {
+      st.conditional = true;
+      st.nextTaken = StateId(s + 1);
+      st.nextNot = StateId(std::min(s + 2, n - 1));
+      st.regActions.push_back({0, -1});
+    } else {
+      st.next = StateId(s + 1);
+    }
+    ctrl.states.push_back(st);
+  }
+  ctrl.initial = StateId(0);
+  ctrl.haltState = StateId(n - 1);
+  return ctrl;
+}
+
+TEST(Encode, OneHotSixtyFourStatesReadsTheConditionBit) {
+  // 64 one-hot states fill all 64 code bits, so the branch condition is
+  // cover input 64 and evaluation has to read a second input word (a
+  // single-word evaluation shifted by 64, which is undefined behaviour).
+  InterconnectResult ic;
+  FuBinding binding;
+  Controller ctrl = sixtyFourStateController(ic);
+  EncodedFsm e = encodeController(ctrl, ic, binding, StateEncoding::OneHot);
+  ASSERT_EQ(e.encoding, StateEncoding::OneHot);
+  ASSERT_EQ(e.stateBits, 64);
+  ASSERT_EQ(e.numInputs(), 65);
+  for (std::size_t s = 0; s < ctrl.numStates(); ++s) {
+    const CtrlState& st = ctrl.states[s];
+    for (std::uint64_t cond : {0ull, 1ull}) {
+      const std::uint64_t in[2] = {e.codeOf[s], cond};
+      const std::vector<bool> raw = e.logic.eval(in);
+      EXPECT_EQ(e.minimizedLogic.eval(in), raw) << s << " cond " << cond;
+      StateId next = st.conditional ? (cond ? st.nextTaken : st.nextNot)
+                     : st.halt      ? st.id
+                                    : st.next;
+      std::uint64_t got = 0;
+      for (int b = 0; b < 64; ++b)
+        if (raw[(std::size_t)b]) got |= 1ULL << b;
+      EXPECT_EQ(got, e.codeOf[next.index()]) << s << " cond " << cond;
+      EXPECT_EQ(raw[64], st.conditional) << "r0_en in state " << s;
+    }
+  }
+  EXPECT_EQ(validateEncoding(e, ctrl), "");
+}
+
+TEST(Encode, ValidateEncodingAcceptsEveryBuiltinEncoding) {
+  SynthesisResult r = synthSqrt();
+  for (auto enc :
+       {StateEncoding::Binary, StateEncoding::Gray, StateEncoding::OneHot}) {
+    auto e = encodeController(r.design.ctrl, r.design.ic, r.design.binding,
+                              enc);
+    EXPECT_EQ(validateEncoding(e, r.design.ctrl), "")
+        << stateEncodingName(enc);
+  }
+}
+
+TEST(Encode, ValidateEncodingRejectsBrokenEncodings) {
+  SynthesisResult r = synthSqrt();
+  const Controller& ctrl = r.design.ctrl;
+  ASSERT_GE(ctrl.numStates(), 3u);
+  const EncodedFsm good = encodeController(ctrl, r.design.ic,
+                                           r.design.binding,
+                                           StateEncoding::Binary);
+
+  EncodedFsm shared = good;
+  shared.codeOf[2] = shared.codeOf[1];
+  EXPECT_NE(validateEncoding(shared, ctrl).find("share code"),
+            std::string::npos);
+
+  // Dropping a raw cube leaves the minimized cover computing more.
+  EncodedFsm diverged = good;
+  diverged.logic.cubes.erase(diverged.logic.cubes.begin());
+  EXPECT_NE(validateEncoding(diverged, ctrl).find("minimized"),
+            std::string::npos);
+
+  // Swapping two codes keeps them distinct and the covers equal, but the
+  // logic still drives the old codes.
+  EncodedFsm misrouted = good;
+  std::swap(misrouted.codeOf[0], misrouted.codeOf[1]);
+  EXPECT_NE(validateEncoding(misrouted, ctrl).find("successor"),
+            std::string::npos);
 }
 
 TEST(Encode, SignalsCoverDatapathControls) {

@@ -5,6 +5,7 @@
 // and the checked-in regression corpus under tests/fixtures/fuzz/.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <string>
 
@@ -14,6 +15,7 @@
 #include "fuzz/diff_runner.h"
 #include "fuzz/reduce.h"
 #include "lang/frontend.h"
+#include "obs/metrics.h"
 #include "opt/pass.h"
 #include "sched/freedom.h"
 #include "sched/sched_util.h"
@@ -139,6 +141,119 @@ TEST(FuzzDiff, DetectsCorruptedSchedule) {
   fuzz::ProgramVerdict v = fuzz::runSource(source, 1, d);
   ASSERT_FALSE(v.ok());
   for (const auto& f : v.failures) EXPECT_EQ(f.kind, "check") << f.detail;
+}
+
+/// Everything a verdict reports, point by point.
+std::string verdictText(const fuzz::ProgramVerdict& v) {
+  std::string s = "points=" + std::to_string(v.pointsRun) +
+                  " sims=" + std::to_string(v.simulations) + "\n";
+  for (const auto& f : v.failures)
+    s += f.kind + " t=" + std::to_string(f.trial) + " [" + f.pointLabel() +
+         "] " + f.detail + "\n";
+  return s;
+}
+
+/// The verdict of running each point of `d` on its own, concatenated in
+/// point order (stopping after the first failing point when `d` stops at
+/// its first failure) — what runSource reported before points shared work.
+fuzz::ProgramVerdict isolatedVerdict(const std::string& source,
+                                     std::uint64_t seed,
+                                     const fuzz::DiffOptions& d) {
+  fuzz::ProgramVerdict all;
+  all.seed = seed;
+  for (const fuzz::MatrixPoint& p : d.points) {
+    fuzz::DiffOptions one = d;
+    one.points = {p};
+    fuzz::ProgramVerdict v = fuzz::runSource(source, seed, one);
+    all.compiled = v.compiled;
+    all.pointsRun += v.pointsRun;
+    all.simulations += v.simulations;
+    all.failures.insert(all.failures.end(), v.failures.begin(),
+                        v.failures.end());
+    if (!v.failures.empty() && d.stopAtFirstFailure) break;
+  }
+  return all;
+}
+
+TEST(FuzzDiff, SharedMatrixMatchesIsolatedPoints) {
+  // Points differing only in state encoding share one synthesis, STA,
+  // check and co-simulation run; the verdict must be exactly the one the
+  // points give on their own, also for post-synthesis mutations of the
+  // shared design and under stopAtFirstFailure.
+  for (fuzz::InjectedBug bug :
+       {fuzz::InjectedBug::None, fuzz::InjectedBug::MulToAdd,
+        fuzz::InjectedBug::ScheduleShift, fuzz::InjectedBug::SwappedBinding}) {
+    int failing = 0;
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      const std::string src = fuzz::generateProgram(seed).render();
+      for (bool stop : {false, true}) {
+        fuzz::DiffOptions d;
+        d.inject = bug;
+        d.stopAtFirstFailure = stop;
+        const fuzz::ProgramVerdict shared = fuzz::runSource(src, seed, d);
+        EXPECT_EQ(verdictText(shared),
+                  verdictText(isolatedVerdict(src, seed, d)))
+            << "seed " << seed << " inject " << (int)bug << " stop " << stop;
+        failing += shared.ok() ? 0 : 1;
+      }
+    }
+    // Seed 3 multiplies and has a swappable operation; every seed but 2
+    // has a shiftable one.
+    if (bug != fuzz::InjectedBug::None) {
+      EXPECT_GT(failing, 0) << "inject " << (int)bug << " never failed";
+    }
+  }
+}
+
+TEST(FuzzDiff, PerPointHookDisablesSharing) {
+  // A hook that corrupts only the one-hot points' schedules: were the
+  // binary point's design shared with its one-hot twin, the corruption
+  // would never reach the twin's checks.
+  const std::string source =
+      "proc fuzz(in a: uint<8>, in b: uint<8>, out o: uint<8>) {\n"
+      "  o = (((a * b) + a) ^ (b - a));\n"
+      "}\n";
+  fuzz::DiffOptions d;
+  d.postSynthesis = [](SynthesisResult& r, const fuzz::MatrixPoint& p) {
+    if (p.enc != StateEncoding::OneHot) return;
+    for (BlockSchedule& bs : r.design.sched.blocks) {
+      if (bs.step.size() < 2) continue;
+      for (int& s : bs.step) s = 0;
+      bs.numSteps = 1;
+    }
+  };
+  const fuzz::ProgramVerdict v = fuzz::runSource(source, 1, d);
+  EXPECT_EQ(verdictText(v), verdictText(isolatedVerdict(source, 1, d)));
+  ASSERT_FALSE(v.failures.empty());
+  for (const auto& f : v.failures) {
+    EXPECT_EQ(f.kind, "check") << f.detail;
+    EXPECT_EQ(f.point.enc, StateEncoding::OneHot) << f.pointLabel();
+  }
+  EXPECT_EQ(v.failingPoints().size(), d.points.size() / 2);
+}
+
+TEST(FuzzDiff, StandardSeedSynthesizesAndChecksEachDesignOnce) {
+  // 24 points, 12 distinct designs: one synthesis, one STA run and one
+  // set of co-simulations per design, while the verdict still accounts
+  // for every matrix point (24 points, 24 x trials simulations).
+  auto& mr = obs::MetricsRegistry::global();
+  auto read = [&] {
+    return std::array<std::uint64_t, 3>{mr.counter("synth.runs").value(),
+                                        mr.counter("sta.runs").value(),
+                                        mr.counter("vm.rtl_runs").value()};
+  };
+  fuzz::DiffOptions d;
+  const std::string src = fuzz::generateProgram(1).render();
+  const auto before = read();
+  const fuzz::ProgramVerdict v = fuzz::runSource(src, 1, d);
+  const auto after = read();
+  ASSERT_TRUE(v.ok()) << verdictText(v);
+  ASSERT_EQ(d.points.size(), 24u);
+  EXPECT_EQ(after[0] - before[0], 12u);
+  EXPECT_EQ(after[1] - before[1], 12u);
+  EXPECT_EQ(after[2] - before[2], 12u * (std::uint64_t)d.trials);
+  EXPECT_EQ(v.pointsRun, 24);
+  EXPECT_EQ(v.simulations, 24L * d.trials);
 }
 
 // ----------------------------------------------------------------- reducer
