@@ -9,6 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "core/designs.h"
+#include "core/options.h"
 #include "core/synthesizer.h"
 
 using namespace mphls;

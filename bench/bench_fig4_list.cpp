@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "core/options.h"
 #include "sched/asap.h"
 #include "sched/list_sched.h"
 #include "sched/schedule.h"

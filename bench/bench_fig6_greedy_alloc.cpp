@@ -11,6 +11,7 @@
 #include "alloc/fu_alloc.h"
 #include "alloc/interconnect.h"
 #include "bench/bench_util.h"
+#include "core/options.h"
 #include "sched/list_sched.h"
 #include "sched/sched_util.h"
 

@@ -81,16 +81,6 @@ Source buildSource(const Function& fn, const LifetimeInfo& lifetimes,
   return s;
 }
 
-std::string_view fuAllocMethodName(FuAllocMethod m) {
-  switch (m) {
-    case FuAllocMethod::GreedyLocal: return "greedy-local";
-    case FuAllocMethod::GreedyGlobal: return "greedy-global";
-    case FuAllocMethod::InterconnectBlind: return "interconnect-blind";
-    case FuAllocMethod::Clique: return "clique";
-  }
-  return "?";
-}
-
 Source operandSource(const Function& fn, const LifetimeInfo& lifetimes,
                      const RegAssignment& regs, BlockId block,
                      std::size_t opIndex, std::size_t argIndex) {

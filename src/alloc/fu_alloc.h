@@ -28,8 +28,6 @@ namespace mphls {
 
 enum class FuAllocMethod { GreedyLocal, GreedyGlobal, InterconnectBlind, Clique };
 
-[[nodiscard]] std::string_view fuAllocMethodName(FuAllocMethod m);
-
 [[nodiscard]] FuBinding allocateFus(
     const Function& fn, const Schedule& sched, const LifetimeInfo& lifetimes,
     const RegAssignment& regs, const HwLibrary& lib, FuAllocMethod method,

@@ -34,8 +34,11 @@ ValueId storedExpression(const Function& fn, ValueId v) {
 }  // namespace
 
 void checkSemantics(const Function& fn, CheckReport& report) {
-  const AnalysisResult res = analyzeFunction(fn);
+  checkSemantics(fn, analyzeFunction(fn), report);
+}
 
+void checkSemantics(const Function& fn, const AnalysisResult& res,
+                    CheckReport& report) {
   for (const Block& blk : fn.blocks()) {
     if (!res.blockReachable[blk.id.index()]) {
       if (!blk.ops.empty()) {

@@ -19,6 +19,13 @@
 
 namespace mphls {
 
+struct AnalysisResult;
+
+/// Analyze `fn` and lint the facts.
 void checkSemantics(const Function& fn, CheckReport& report);
+
+/// Lint facts already computed for `fn` by analyzeFunction.
+void checkSemantics(const Function& fn, const AnalysisResult& res,
+                    CheckReport& report);
 
 }  // namespace mphls

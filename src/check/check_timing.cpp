@@ -78,7 +78,11 @@ void checkTiming(const RtlDesign& design, const TimingLintOptions& options,
                  std::string("static timing analysis failed: ") + e.what());
     return;
   }
+  checkTiming(design, r, options, report);
+}
 
+void checkTiming(const RtlDesign& design, const sta::StaResult& r,
+                 const TimingLintOptions& options, CheckReport& report) {
   // The cross-validation payoff: estimateTiming (recursive, per-action)
   // and the STA engine (explicit graph, longest path) implement the same
   // timing model independently; a gap beyond tolerance means one is wrong.

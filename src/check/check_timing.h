@@ -25,6 +25,10 @@
 
 namespace mphls {
 
+namespace sta {
+struct StaResult;
+}
+
 struct TimingLintOptions {
   /// Declared clock period; 0 uses the design's estimated cycle time
   /// (negative slack then only appears when the models diverge).
@@ -38,7 +42,13 @@ struct TimingLintOptions {
   int maxReported = 5;
 };
 
+/// Run STA on `design` (keeping options.maxReported paths) and lint it.
 void checkTiming(const RtlDesign& design, const TimingLintOptions& options,
                  CheckReport& report);
+
+/// Lint an STA result already computed for `design` at options.clockNs.
+/// Reads at most options.maxReported of its paths.
+void checkTiming(const RtlDesign& design, const sta::StaResult& r,
+                 const TimingLintOptions& options, CheckReport& report);
 
 }  // namespace mphls

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "core/options.h"
 #include "ir/verify.h"
 #include "lang/frontend.h"
 #include "obs/metrics.h"
@@ -81,20 +82,7 @@ std::shared_ptr<const Function> FrontendCache::get(const std::string& source,
   obs::TraceSpan span("frontend.compile", top);
   Function fn = compileBdlOrThrow(source, top);
   verifyOrThrow(fn);
-  switch (opt) {
-    case OptLevel::None:
-      break;
-    case OptLevel::Standard: {
-      auto pm = PassManager::standardPipeline();
-      pm.run(fn);
-      break;
-    }
-    case OptLevel::Aggressive: {
-      auto pm = PassManager::aggressivePipeline();
-      pm.run(fn);
-      break;
-    }
-  }
+  if (opt != OptLevel::None) optPipeline(opt).run(fn);
   auto shared = std::make_shared<const Function>(std::move(fn));
 
   std::lock_guard<std::mutex> lk(im.m);

@@ -7,6 +7,7 @@
 #include "check/check_controller.h"
 #include "check/check_schedule.h"
 #include "check/check_timing.h"
+#include "core/options.h"
 #include "ir/interp.h"
 #include "ir/verify.h"
 #include "lang/frontend.h"
@@ -25,19 +26,6 @@
 #include "sched/transform_sched.h"
 
 namespace mphls {
-
-std::string_view schedulerName(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::Serial: return "serial";
-    case SchedulerKind::Asap: return "asap";
-    case SchedulerKind::List: return "list";
-    case SchedulerKind::ForceDirected: return "force-directed";
-    case SchedulerKind::Freedom: return "freedom";
-    case SchedulerKind::BranchBound: return "branch-and-bound";
-    case SchedulerKind::Transform: return "transformational";
-  }
-  return "?";
-}
 
 long SynthesisResult::latencyFor(
     const std::map<std::string, std::uint64_t>& inputs) const {
@@ -69,20 +57,7 @@ SynthesisResult Synthesizer::synthesize(Function fn) {
   StageTimes st;
   {
     obs::TraceSpan span("stage.optimize", &st.optimize);
-    switch (options_.opt) {
-      case OptLevel::None:
-        break;
-      case OptLevel::Standard: {
-        auto pm = PassManager::standardPipeline();
-        pm.run(fn);
-        break;
-      }
-      case OptLevel::Aggressive: {
-        auto pm = PassManager::aggressivePipeline();
-        pm.run(fn);
-        break;
-      }
-    }
+    if (options_.opt != OptLevel::None) optPipeline(options_.opt).run(fn);
     if (options_.narrow) {
       PassManager pm;
       pm.add(createNarrowWidthsPass());
@@ -128,8 +103,7 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
       }
       return serialSchedule(deps);
     }, options_.latencies);
-    if (options_.scheduler != SchedulerKind::ForceDirected &&
-        options_.scheduler != SchedulerKind::Serial) {
+    if (resourceLimited(options_.scheduler)) {
       std::string msg =
           validateSchedule(fn, sched, options_.resources, options_.latencies);
       MPHLS_CHECK(msg.empty(), "invalid schedule: " << msg);
@@ -137,15 +111,12 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
   }
   if (options_.check) {
     obs::TraceSpan span("stage.check", "schedule", &st.check);
-    // Stage exit: schedule legality. Time-constrained (force-directed) and
-    // trivially-serial schedules are not produced under the resource
-    // limits, so only their dependence legality is checked.
-    const bool limited =
-        options_.scheduler != SchedulerKind::ForceDirected &&
-        options_.scheduler != SchedulerKind::Serial;
+    // Stage exit: schedule legality.
     CheckReport rep;
     checkSchedule(fn, sched,
-                  limited ? options_.resources : ResourceLimits::unlimited(),
+                  resourceLimited(options_.scheduler)
+                      ? options_.resources
+                      : ResourceLimits::unlimited(),
                   options_.latencies, rep);
     MPHLS_CHECK(rep.clean(), "schedule legality check failed ("
                                  << rep.errorCount()

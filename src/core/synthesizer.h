@@ -30,8 +30,6 @@ enum class SchedulerKind {
   Transform,      ///< YSC-style transformational
 };
 
-[[nodiscard]] std::string_view schedulerName(SchedulerKind k);
-
 enum class OptLevel { None, Standard, Aggressive };
 
 struct SynthesisOptions {

@@ -7,15 +7,6 @@
 
 namespace mphls {
 
-std::string_view stateEncodingName(StateEncoding e) {
-  switch (e) {
-    case StateEncoding::Binary: return "binary";
-    case StateEncoding::Gray: return "gray";
-    case StateEncoding::OneHot: return "one-hot";
-  }
-  return "?";
-}
-
 namespace {
 
 std::uint64_t grayCode(std::uint64_t n) { return n ^ (n >> 1); }

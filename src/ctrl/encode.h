@@ -19,8 +19,6 @@ namespace mphls {
 
 enum class StateEncoding { Binary, Gray, OneHot };
 
-[[nodiscard]] std::string_view stateEncodingName(StateEncoding e);
-
 struct EncodedFsm {
   StateEncoding encoding = StateEncoding::Binary;
   int stateBits = 0;

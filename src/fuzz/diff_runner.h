@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/inject.h"
 #include "core/synthesizer.h"
 #include "vm/sim_engine.h"
 
@@ -60,13 +61,6 @@ struct MatrixPoint {
   /// armed, narrowing off (runSource narrows the shared frontend itself and
   /// disarms the stage-exit checks while its own oracle runs).
   [[nodiscard]] SynthesisOptions toOptions() const;
-
-  /// Whether the schedule is produced under the resource limits (false
-  /// for the time-constrained and trivially-serial schedulers).
-  [[nodiscard]] bool resourceLimited() const {
-    return sched != SchedulerKind::ForceDirected &&
-           sched != SchedulerKind::Serial;
-  }
 };
 
 /// An axis-product description of the matrix; points() expands it,
@@ -96,40 +90,6 @@ struct FuzzMatrix {
 
   [[nodiscard]] std::vector<MatrixPoint> points() const;
 };
-
-/// What the runner injects — a seeded, deliberate miscompile used to prove
-/// the oracles (co-simulation, the static checkers, and the `mphls prove`
-/// equivalence engine) detect divergence and to exercise the reducer.
-///
-///   - MulToAdd mutates the IR handed to the backend: every multiply
-///     becomes an add, so any program whose output depends on a product
-///     mismatches.
-///   - ScheduleShift mutates the finished design: one eligible operation
-///     is issued a control step early, so it latches a stale register
-///     value (a classic off-by-one scheduler bug).
-///   - SwappedBinding mutates the finished design: one non-commutative
-///     operation gets its operand wiring swapped (a classic binding bug).
-enum class InjectedBug { None, MulToAdd, ScheduleShift, SwappedBinding };
-
-/// Parse "mul" | "sched" | "bind"; returns false on anything else.
-bool parseInjectedBug(const std::string& name, InjectedBug& out);
-
-/// Rewrite every Mul op into Add; returns the number of ops rewritten.
-int injectMulToAdd(Function& fn);
-
-/// Move one operation one control step earlier and rebuild the controller.
-/// The site is chosen so the mutated design still executes (its unit is
-/// idle in the destination step, no same-step unit-output wiring breaks)
-/// but reads at least one operand register before its producer's write
-/// commits. Returns 1 when a site was mutated, 0 when none qualifies.
-int injectScheduleShift(RtlDesign& d,
-                        const OpLatencyModel& lat = OpLatencyModel::unit());
-
-/// Flip the operand wiring of one non-commutative two-operand operation
-/// and rebuild the interconnect and controller. Returns 1 when a site was
-/// mutated, 0 when none qualifies.
-int injectSwappedBinding(RtlDesign& d,
-                         const OpLatencyModel& lat = OpLatencyModel::unit());
 
 struct PointFailure {
   MatrixPoint point;

@@ -8,16 +8,6 @@
 
 namespace mphls {
 
-std::string_view listPriorityName(ListPriority p) {
-  switch (p) {
-    case ListPriority::PathLength: return "path-length";
-    case ListPriority::Mobility: return "mobility";
-    case ListPriority::Urgency: return "urgency";
-    case ListPriority::ProgramOrder: return "program-order";
-  }
-  return "?";
-}
-
 BlockSchedule listSchedule(const BlockDeps& deps, const ResourceLimits& limits,
                            ListPriority priority) {
   const std::size_t n = deps.numOps();

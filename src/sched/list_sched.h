@@ -24,8 +24,6 @@ namespace mphls {
 
 enum class ListPriority { PathLength, Mobility, Urgency, ProgramOrder };
 
-[[nodiscard]] std::string_view listPriorityName(ListPriority p);
-
 [[nodiscard]] BlockSchedule listSchedule(
     const BlockDeps& deps, const ResourceLimits& limits,
     ListPriority priority = ListPriority::PathLength);

@@ -3,6 +3,7 @@
 #include "common/json_reader.h"
 #include "core/commands.h"
 #include "core/designs.h"
+#include "core/options.h"
 #include "core/frontend_cache.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
@@ -12,76 +13,6 @@
 namespace mphls::serve {
 
 namespace {
-
-/// Decode the "options" object into a SynthesisOptions vector, mirroring
-/// the CLI flag grammar exactly. Returns "" on success, else the error.
-std::string parseOptions(const json::Node& o, SynthesisOptions& opts) {
-  for (const auto& [key, val] : o.members()) {
-    const json::Node& v = *val;
-    if (key == "scheduler") {
-      const std::string s = v.str();
-      if (s == "serial") opts.scheduler = SchedulerKind::Serial;
-      else if (s == "asap") opts.scheduler = SchedulerKind::Asap;
-      else if (s == "list") opts.scheduler = SchedulerKind::List;
-      else if (s == "force") opts.scheduler = SchedulerKind::ForceDirected;
-      else if (s == "freedom") opts.scheduler = SchedulerKind::Freedom;
-      else if (s == "bnb") opts.scheduler = SchedulerKind::BranchBound;
-      else if (s == "transform") opts.scheduler = SchedulerKind::Transform;
-      else return "bad scheduler: " + s;
-    } else if (key == "fus") {
-      if (!v.isNumber() || v.number() < 1) return "bad fus";
-      opts.resources = ResourceLimits::universalSet((int)v.number());
-    } else if (key == "priority") {
-      const std::string s = v.str();
-      if (s == "path") opts.listPriority = ListPriority::PathLength;
-      else if (s == "mobility") opts.listPriority = ListPriority::Mobility;
-      else if (s == "urgency") opts.listPriority = ListPriority::Urgency;
-      else if (s == "program") opts.listPriority = ListPriority::ProgramOrder;
-      else return "bad priority: " + s;
-    } else if (key == "opt") {
-      const std::string s = v.str();
-      if (s == "none") opts.opt = OptLevel::None;
-      else if (s == "standard") opts.opt = OptLevel::Standard;
-      else if (s == "aggressive") opts.opt = OptLevel::Aggressive;
-      else return "bad opt level: " + s;
-    } else if (key == "fu_alloc") {
-      const std::string s = v.str();
-      if (s == "greedy") opts.fuMethod = FuAllocMethod::GreedyLocal;
-      else if (s == "global") opts.fuMethod = FuAllocMethod::GreedyGlobal;
-      else if (s == "blind") opts.fuMethod = FuAllocMethod::InterconnectBlind;
-      else if (s == "clique") opts.fuMethod = FuAllocMethod::Clique;
-      else return "bad fu_alloc: " + s;
-    } else if (key == "reg_alloc") {
-      const std::string s = v.str();
-      if (s == "leftedge") opts.regMethod = RegAllocMethod::LeftEdge;
-      else if (s == "clique") opts.regMethod = RegAllocMethod::Clique;
-      else if (s == "naive") opts.regMethod = RegAllocMethod::Naive;
-      else return "bad reg_alloc: " + s;
-    } else if (key == "encoding") {
-      const std::string s = v.str();
-      if (s == "binary") opts.encoding = StateEncoding::Binary;
-      else if (s == "gray") opts.encoding = StateEncoding::Gray;
-      else if (s == "onehot") opts.encoding = StateEncoding::OneHot;
-      else return "bad encoding: " + s;
-    } else if (key == "time_constraint") {
-      if (!v.isNumber()) return "bad time_constraint";
-      opts.timeConstraint = (int)v.number();
-    } else if (key == "narrow") {
-      if (!v.isBool()) return "bad narrow";
-      opts.narrow = v.boolean();
-    } else if (key == "multicycle") {
-      if (!v.isBool()) return "bad multicycle";
-      opts.latencies =
-          v.boolean() ? OpLatencyModel::multiCycle() : OpLatencyModel::unit();
-    } else if (key == "check") {
-      if (!v.isBool()) return "bad check";
-      opts.check = v.boolean();
-    } else {
-      return "unknown option: " + key;
-    }
-  }
-  return "";
-}
 
 /// Shared POST-body decode: name/source/design/top/options.
 struct DecodedBody {
@@ -134,9 +65,14 @@ DecodedBody decodeBody(const HttpRequest& http, const SynthesisOptions& base) {
       d.error = "\"options\" must be an object";
       return d;
     }
-    d.error = parseOptions(*opts, d.req.opts);
+    d.error = applyJsonOptions(*opts, d.req.opts);
   }
   return d;
+}
+
+/// Whether `v` is a number inside `range` (checked before any cast).
+bool inRange(const json::Node& v, const NumRange& range) {
+  return v.isNumber() && range.contains(v.number());
 }
 
 ServiceResponse fromResult(cmd::Result r) {
@@ -269,14 +205,17 @@ ServiceResponse Service::handle(const HttpRequest& req,
                                    d.doc->get("options")->has("opt"));
           resp = fromResult(cmd::analyzeJson(d.req, post));
         } else if (path == "/sta") {
-          const double clock = d.doc->getNumber("clock", 0);
-          const int paths = (int)d.doc->getNumber("paths", 5);
-          if (paths < 0) {
-            resp = errorResponse(400, "\"paths\" must be >= 0");
-          } else if (clock < 0) {
-            resp = errorResponse(400, "\"clock\" must be > 0");
+          const json::Node* clock = d.doc->get("clock");
+          const json::Node* paths = d.doc->get("paths");
+          if (clock && !inRange(*clock, kClockRange)) {
+            resp = errorResponse(400, "\"clock\" must be a number in 0..1e6"
+                                      " (0: the estimated clock)");
+          } else if (paths && !inRange(*paths, kPathsRange)) {
+            resp = errorResponse(400, "\"paths\" must be an integer >= 0");
           } else {
-            resp = fromResult(cmd::staJson(d.req, clock, paths));
+            resp = fromResult(cmd::staJson(
+                d.req, clock ? clock->number() : 0,
+                paths ? (int)paths->number() : 5));
           }
         } else if (path == "/prove") {
           resp = fromResult(
@@ -285,21 +224,19 @@ ServiceResponse Service::handle(const HttpRequest& req,
           std::map<std::string, std::uint64_t> inputs;
           bool badInputs = false;
           if (const json::Node* in = d.doc->get("inputs")) {
-            if (!in->isObject()) {
-              badInputs = true;
-            } else {
-              for (const auto& [k, v] : in->members()) {
-                if (!v->isNumber() || v->number() < 0) {
-                  badInputs = true;
-                  break;
-                }
-                inputs[k] = (std::uint64_t)v->number();
+            badInputs = !in->isObject();
+            for (const auto& [k, v] : in->members()) {
+              if (!inRange(*v, kInputRange)) {
+                badInputs = true;
+                break;
               }
+              inputs[k] = (std::uint64_t)v->number();
             }
           }
-          resp = badInputs ? errorResponse(
-                                 400, "\"inputs\" must map ports to numbers")
-                           : fromResult(cmd::simJson(d.req, inputs));
+          resp = badInputs
+                     ? errorResponse(400, "\"inputs\" must map ports to"
+                                          " integers in 0..2^64-1")
+                     : fromResult(cmd::simJson(d.req, inputs));
         }
       }
     } catch (const std::exception& e) {

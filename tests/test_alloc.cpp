@@ -14,6 +14,7 @@
 #include "alloc/interconnect.h"
 #include "alloc/lifetime.h"
 #include "alloc/reg_alloc.h"
+#include "core/options.h"
 #include "lang/frontend.h"
 #include "sched/list_sched.h"
 #include "sched/sched_util.h"

@@ -8,6 +8,7 @@
 #include "common/bitutil.h"
 
 #include "core/designs.h"
+#include "core/options.h"
 #include "core/synthesizer.h"
 #include "ctrl/encode.h"
 #include "ctrl/microcode.h"

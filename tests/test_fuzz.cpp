@@ -113,7 +113,7 @@ TEST(FuzzDiff, DetectsInjectedMiscompile) {
       "  o = (a * b);\n"
       "}\n";
   fuzz::DiffOptions d = quickDiff();
-  d.inject = fuzz::InjectedBug::MulToAdd;
+  d.inject = InjectedBug::MulToAdd;
   fuzz::ProgramVerdict v = fuzz::runSource(source, 1, d);
   ASSERT_FALSE(v.ok());
   bool sawMismatch = false;
@@ -180,9 +180,9 @@ TEST(FuzzDiff, SharedMatrixMatchesIsolatedPoints) {
   // check and co-simulation run; the verdict must be exactly the one the
   // points give on their own, also for post-synthesis mutations of the
   // shared design and under stopAtFirstFailure.
-  for (fuzz::InjectedBug bug :
-       {fuzz::InjectedBug::None, fuzz::InjectedBug::MulToAdd,
-        fuzz::InjectedBug::ScheduleShift, fuzz::InjectedBug::SwappedBinding}) {
+  for (InjectedBug bug :
+       {InjectedBug::None, InjectedBug::MulToAdd,
+        InjectedBug::ScheduleShift, InjectedBug::SwappedBinding}) {
     int failing = 0;
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
       const std::string src = fuzz::generateProgram(seed).render();
@@ -199,7 +199,7 @@ TEST(FuzzDiff, SharedMatrixMatchesIsolatedPoints) {
     }
     // Seed 3 multiplies and has a swappable operation; every seed but 2
     // has a shiftable one.
-    if (bug != fuzz::InjectedBug::None) {
+    if (bug != InjectedBug::None) {
       EXPECT_GT(failing, 0) << "inject " << (int)bug << " never failed";
     }
   }
@@ -262,7 +262,7 @@ TEST(FuzzReduce, ShrinksInjectedMiscompileWitness) {
   // Find a generated program whose product survives optimization, then
   // shrink it against the real differential predicate the campaign uses.
   fuzz::DiffOptions d = quickDiff();
-  d.inject = fuzz::InjectedBug::MulToAdd;
+  d.inject = InjectedBug::MulToAdd;
   d.stopAtFirstFailure = true;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     fuzz::GenProgram p = fuzz::generateProgram(seed);
@@ -366,7 +366,7 @@ TEST(FuzzCampaign, DeterministicAcrossJobCounts) {
   fuzz::CampaignOptions c;
   c.seeds = 6;
   c.diff = quickDiff();
-  c.diff.inject = fuzz::InjectedBug::MulToAdd;  // force some failures
+  c.diff.inject = InjectedBug::MulToAdd;  // force some failures
   c.jobs = 1;
   fuzz::CampaignResult serial = fuzz::runCampaign(c);
   c.jobs = 4;

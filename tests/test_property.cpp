@@ -15,6 +15,7 @@
 #include "alloc/clique.h"
 #include "alloc/lifetime.h"
 #include "alloc/reg_alloc.h"
+#include "core/options.h"
 #include "core/synthesizer.h"
 #include "ctrl/sop.h"
 #include "fuzz/bdl_gen.h"

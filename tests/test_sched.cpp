@@ -8,6 +8,7 @@
 //   - Fig. 5: the distribution graph values 1, 1+1/2, 1/2.
 #include <gtest/gtest.h>
 
+#include "core/options.h"
 #include "ir/interp.h"
 #include "lang/frontend.h"
 #include "sched/asap.h"

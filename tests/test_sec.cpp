@@ -341,7 +341,7 @@ TEST(SecInject, MulToAddIsCaught) {
   for (const auto& d : designs::all()) {
     Function fn = compileBdlOrThrow(d.source);
     Function mutated = fn.clone();
-    if (fuzz::injectMulToAdd(mutated) == 0) continue;
+    if (injectMulToAdd(mutated) == 0) continue;
     CheckReport rep;
     EXPECT_FALSE(sec::proveFunctionEquivalence(fn, mutated, "inject:mul",
                                                rep));
@@ -354,7 +354,7 @@ TEST(SecInject, ScheduleShiftIsCaught) {
   for (const auto& d : designs::all()) {
     Synthesizer synth(proveOptions(OptLevel::None, false));
     SynthesisResult r = synth.synthesizeSource(d.source);
-    if (fuzz::injectScheduleShift(r.design) == 0) continue;
+    if (injectScheduleShift(r.design) == 0) continue;
     ++applicable;
     CheckReport rep = sec::proveEquivalence(r.design);
     EXPECT_FALSE(rep.clean()) << d.name << ": shifted schedule proved clean";
@@ -367,7 +367,7 @@ TEST(SecInject, SwappedBindingIsCaught) {
   for (const auto& d : designs::all()) {
     Synthesizer synth(proveOptions(OptLevel::None, false));
     SynthesisResult r = synth.synthesizeSource(d.source);
-    if (fuzz::injectSwappedBinding(r.design) == 0) continue;
+    if (injectSwappedBinding(r.design) == 0) continue;
     ++applicable;
     CheckReport rep = sec::proveEquivalence(r.design);
     EXPECT_FALSE(rep.clean()) << d.name << ": swapped binding proved clean";
@@ -383,7 +383,7 @@ TEST(SecInject, FailedProofReplaysWitnessOnVm) {
   for (const auto& d : designs::all()) {
     Synthesizer synth(proveOptions(OptLevel::None, false));
     SynthesisResult r = synth.synthesizeSource(d.source);
-    if (fuzz::injectSwappedBinding(r.design) == 0) continue;
+    if (injectSwappedBinding(r.design) == 0) continue;
     CheckReport rep = sec::proveEquivalence(r.design);
     if (rep.clean()) continue;
     if (rep.has("sec.cex.replay")) ++replayed;
