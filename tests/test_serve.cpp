@@ -287,22 +287,56 @@ TEST(ServeService, UnknownRouteIs404WrongMethodIs405) {
 TEST(ServeService, MalformedBodiesAre400) {
   const serve::Service svc = makeService();
   // Broken JSON, non-object, missing source, unknown builtin, bad option
-  // key, bad option value, non-object options, bad /sim inputs.
-  const char* bad[] = {
-      "{not json",
-      "[1,2]",
-      "{}",
-      "{\"design\": \"no-such-design\"}",
-      "{\"design\": \"sqrt\", \"options\": {\"optlevel\": \"none\"}}",
-      "{\"design\": \"sqrt\", \"options\": {\"scheduler\": \"magic\"}}",
-      "{\"design\": \"sqrt\", \"options\": [1]}",
-      "{\"design\": \"sqrt\", \"inputs\": {\"x\": \"ten\"}}",
+  // key, bad option value, non-object options, bad /sim inputs, and
+  // hostile numbers: out-of-range or non-integral values are rejected
+  // before any cast instead of being truncated or overflowed.
+  const std::pair<const char*, const char*> bad[] = {
+      {"/synth", "{not json"},
+      {"/synth", "[1,2]"},
+      {"/synth", "{}"},
+      {"/synth", "{\"design\": \"no-such-design\"}"},
+      {"/synth", "{\"design\": \"sqrt\", \"options\": {\"optlevel\": \"none\"}}"},
+      {"/synth", "{\"design\": \"sqrt\", \"options\": {\"scheduler\": \"magic\"}}"},
+      {"/synth", "{\"design\": \"sqrt\", \"options\": [1]}"},
+      {"/sim", "{\"design\": \"sqrt\", \"inputs\": {\"x\": \"ten\"}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"fus\": 1e12}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"fus\": 2.5}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"fus\": 0}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"time_constraint\": -5}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"time_constraint\": 3e9}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"time_constraint\": 1025}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"narrow\": 1}}"},
+      {"/sta", "{\"design\": \"gcd\", \"paths\": 2.5}"},
+      {"/sta", "{\"design\": \"gcd\", \"paths\": -1}"},
+      {"/sta", "{\"design\": \"gcd\", \"paths\": 1e12}"},
+      {"/sta", "{\"design\": \"gcd\", \"clock\": -1}"},
+      {"/sta", "{\"design\": \"gcd\", \"clock\": 1e300}"},
+      {"/sta", "{\"design\": \"gcd\", \"clock\": \"fast\"}"},
+      {"/sim", "{\"design\": \"gcd\", \"inputs\": {\"a0\": 1e30}}"},
+      {"/sim", "{\"design\": \"gcd\", \"inputs\": {\"a0\": 2.5}}"},
+      {"/sim", "{\"design\": \"gcd\", \"inputs\": {\"a0\": -1}}"},
   };
-  for (std::size_t i = 0; i < std::size(bad); ++i) {
-    const char* target = i == 7 ? "/sim" : "/synth";
-    const serve::ServiceResponse r = svc.handle(makePost(target, bad[i]), 1);
-    EXPECT_EQ(r.status, 400) << bad[i] << " -> " << r.body;
+  for (const auto& [target, body] : bad) {
+    const serve::ServiceResponse r = svc.handle(makePost(target, body), 1);
+    EXPECT_EQ(r.status, 400) << target << " " << body << " -> " << r.body;
     EXPECT_TRUE(json::valid(r.body)) << r.body;
+  }
+}
+
+TEST(ServeService, BoundaryNumbersAreAccepted) {
+  const serve::Service svc = makeService();
+  const std::pair<const char*, const char*> good[] = {
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"fus\": 1}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"fus\": 2147483647}}"},
+      {"/synth", "{\"design\": \"gcd\", \"options\": {\"scheduler\": \"force\","
+                 " \"time_constraint\": 1024}}"},
+      {"/sta", "{\"design\": \"gcd\", \"clock\": 0, \"paths\": 0}"},
+      {"/sim", "{\"design\": \"gcd\", \"inputs\": {\"a0\": 9223372036854775808,"
+               " \"b0\": 0}}"},
+  };
+  for (const auto& [target, body] : good) {
+    const serve::ServiceResponse r = svc.handle(makePost(target, body), 1);
+    EXPECT_EQ(r.status, 200) << target << " " << body << " -> " << r.body;
   }
 }
 

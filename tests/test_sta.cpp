@@ -225,6 +225,25 @@ TEST(CheckTiming, FiresOnHandCorruptedFixture) {
   EXPECT_TRUE(hasDiag(rep, "timing.negative-slack", CheckSeverity::Error));
 }
 
+TEST(CheckTiming, LintOfAComputedAnalysisMatchesTheOwnRun) {
+  // `mphls sta` analyzes once and lints that result; the findings must be
+  // the ones the self-contained overload reports.
+  for (const double clock : {0.0, 1.0}) {
+    auto r = synth(designs::ewfSource());
+    TimingLintOptions o;
+    o.clockNs = clock;
+    o.maxReported = 2;
+    CheckReport own;
+    checkTiming(r.design, o, own);
+    sta::StaOptions so;
+    so.clockNs = clock;
+    so.maxPaths = o.maxReported;
+    CheckReport shared;
+    checkTiming(r.design, sta::runSta(r.design, so), o, shared);
+    EXPECT_EQ(shared.render(), own.render()) << "clock " << clock;
+  }
+}
+
 TEST(CheckTiming, MaxReportedCapsFindings) {
   auto r = synth(designs::ewfSource());
   TimingLintOptions o;
