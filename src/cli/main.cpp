@@ -41,15 +41,11 @@
 // the analysis runs on the post-pipeline IR instead of the frontend
 // output — the facts the width-narrowing pass actually consumes.
 //
-// The `bench` subcommand runs the synthesis-throughput suite on built-in
-// designs and writes BENCH_dse.json / BENCH_sched.json (see
-// core/bench_runner.h); it needs no input file.
-//
 // The `profile` subcommand synthesizes the design, simulates it under the
 // waveform/coverage recorder, and prints a stage/pass time + counter +
 // FSM-coverage table. `--trace FILE` (Chrome trace_event JSON for
 // Perfetto), `--vcd FILE` (GTKWave waveform) and `--stats FILE` (metrics
-// registry JSON) work on the synth, profile, bench and fuzz paths; see
+// registry JSON) work on the synth, profile and fuzz paths; see
 // DESIGN.md §10.
 //
 // The `fuzz` subcommand runs the differential co-simulation fuzzer
@@ -79,8 +75,6 @@
 #include "common/bench_report.h"
 #include "common/json_reader.h"
 #include "common/thread_pool.h"
-#include "core/bench_check.h"
-#include "core/bench_runner.h"
 #include "core/commands.h"
 #include "core/designs.h"
 #include "core/dse.h"
@@ -88,7 +82,6 @@
 #include "core/synthesizer.h"
 #include "fuzz/campaign.h"
 #include "fuzz/diff_runner.h"
-#include "fuzz/sim_bench.h"
 #include "ir/dot.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
@@ -155,12 +148,6 @@ void usage() {
       "  --sweep N\n"
       "  --trace FILE  --vcd FILE  --stats FILE  --quiet\n"
       "  --log-file FILE  --log-level debug|info|warn|error\n"
-      "       mphls bench [--sim] [--sta] [--jobs N] [--points N]"
-      " [--repeats N]\n"
-      "                   [--sched-ops N] [--out DIR] [--trace FILE]\n"
-      "                   [--stats FILE] [--quiet]\n"
-      "       mphls bench --check [--baseline-dir DIR] [--in DIR ...]\n"
-      "                   [--out FILE] [--quiet]\n"
       "       mphls fuzz [--seeds N] [--seed-base S] [--jobs N]\n"
       "                  [--matrix quick|standard|full] [--trials N]\n"
       "                  [--engine interp|vm|both] [--cross-check RATE]\n"
@@ -701,81 +688,6 @@ int runSynth(const CliArgs& a, const cmd::Request& req) {
   return failures == 0 ? 0 : 1;
 }
 
-int runBench(int argc, char** argv) {
-  BenchOptions b;
-  b.jobs = 0;  // hardware concurrency unless --jobs given
-  std::string traceOut, statsOut, logFile, logLevel;
-  bool simSuite = false;
-  bool staSuite = false;
-  bool repeatsGiven = false;
-  bool check = false;
-  BenchCheckOptions cc;
-  cc.inDirs.clear();
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&] { return i + 1 < argc ? argv[++i] : nullptr; };
-    const char* v = nullptr;  // the flag's value, once taken
-    if (arg == "--sim") {
-      simSuite = true;
-    } else if (arg == "--sta") {
-      staSuite = true;
-    } else if (arg == "--check") {
-      check = true;
-    } else if (arg == "--baseline-dir" && (v = next())) {
-      cc.baselineDir = v;
-    } else if (arg == "--in" && (v = next())) {
-      cc.inDirs.push_back(v);
-    } else if (arg == "--log-file" && (v = next())) {
-      logFile = v;
-    } else if (arg == "--log-level" && (v = next())) {
-      logLevel = v;
-    } else if (arg == "--jobs" && (v = next())) {
-      if (!parseInt(v, kJobsRange, b.jobs)) return (usage(), 2);
-    } else if (arg == "--points" && (v = next())) {
-      if (!parseInt(v, kCount, b.points)) return (usage(), 2);
-    } else if (arg == "--repeats" && (v = next())) {
-      if (!parseInt(v, kCount, b.repeats)) return (usage(), 2);
-      repeatsGiven = true;
-    } else if (arg == "--sched-ops" && (v = next())) {
-      if (!parseInt(v, {4, INT_MAX}, b.schedOps)) return (usage(), 2);
-    } else if (arg == "--out" && (v = next())) {
-      b.outDir = v;
-    } else if (arg == "--trace" && (v = next())) {
-      traceOut = v;
-    } else if (arg == "--stats" && (v = next())) {
-      statsOut = v;
-    } else if (arg == "--quiet") {
-      b.quiet = true;
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  if (!applyLogging(logFile, logLevel)) return 1;
-  if (check) {
-    if (cc.inDirs.empty()) cc.inDirs.push_back(".");
-    if (b.outDir != "." && !b.outDir.empty()) cc.outFile = b.outDir;
-    cc.quiet = b.quiet;
-    return runBenchCheck(cc);
-  }
-  enableTracing(traceOut);
-  int rc;
-  if (simSuite) {
-    fuzz::SimBenchOptions sb;
-    sb.repeats = repeatsGiven ? b.repeats : 5;  // sim suite: best-of-5
-    sb.outDir = b.outDir;
-    sb.quiet = b.quiet;
-    rc = fuzz::runSimBenchSuite(sb);
-  } else if (staSuite) {
-    if (!repeatsGiven) b.repeats = 5;  // analysis is fast: best-of-5
-    rc = runStaBenchSuite(b);
-  } else {
-    rc = runBenchSuite(b);
-  }
-  if (writeObsOutputs(traceOut, statsOut, b.quiet) != 0 && rc == 0) rc = 1;
-  return rc;
-}
-
 /// `mphls fuzz`: differential co-simulation campaigns and corpus replay.
 int runFuzz(int argc, char** argv) {
   fuzz::CampaignOptions c;
@@ -1029,7 +941,6 @@ int runLoadgenCmd(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "bench") return runBench(argc, argv);
   if (argc > 1 && std::string(argv[1]) == "fuzz") return runFuzz(argc, argv);
   if (argc > 1 && std::string(argv[1]) == "serve") return runServe(argc, argv);
   if (argc > 1 && std::string(argv[1]) == "loadgen")

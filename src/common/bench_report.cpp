@@ -138,18 +138,6 @@ BenchReporter::BenchReporter(const std::string& benchmarkName) {
   root_["benchmark"] = benchmarkName;
 }
 
-double BenchReporter::timeBest(int repeats, const std::function<void()>& fn) {
-  if (repeats < 1) repeats = 1;
-  double best = -1;
-  for (int r = 0; r < repeats; ++r) {
-    WallTimer t;
-    fn();
-    double s = t.seconds();
-    if (best < 0 || s < best) best = s;
-  }
-  return best;
-}
-
 bool BenchReporter::writeFile(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;

@@ -1,14 +1,13 @@
 // Benchmark reporting: a wall-clock timer, a tiny ordered JSON document
-// builder, and the BenchReporter that the `mphls bench` suite and the
-// pipeline stage timers write through. The JSON files it produces
-// (BENCH_dse.json, BENCH_sched.json) track the performance trajectory of
-// the synthesis system across PRs; keys are emitted in insertion order so
-// diffs between runs stay readable.
+// builder, and the BenchReporter that `mphls loadgen` writes
+// BENCH_serve.json through. The JSON builder also renders the fuzz
+// campaign summary, the STA report and every command-layer response;
+// keys are emitted in insertion order so diffs between runs stay
+// readable.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,20 +75,15 @@ class JsonValue {
 /// Collects metrics for one benchmark into a JSON document and writes it
 /// to disk. Typical use:
 ///
-///   BenchReporter rep("dse_resource_sweep");
-///   rep.root()["jobs"] = 4;
+///   BenchReporter rep("serve_loadgen");
+///   rep.root()["clients"] = 4;
 ///   rep.root()["wall_seconds"] = t.seconds();
-///   rep.writeFile("BENCH_dse.json");
+///   rep.writeFile("BENCH_serve.json");
 class BenchReporter {
  public:
   explicit BenchReporter(const std::string& benchmarkName);
 
   [[nodiscard]] JsonValue& root() { return root_; }
-
-  /// Timing helper: runs `fn` `repeats` times and returns the best
-  /// (minimum) wall time in seconds — the standard estimator on a noisy
-  /// shared machine.
-  static double timeBest(int repeats, const std::function<void()>& fn);
 
   [[nodiscard]] std::string json() const { return root_.dump(); }
 

@@ -71,13 +71,13 @@ struct SynthesisOptions {
   /// Design-space exploration only: record the emitted Verilog of every
   /// swept design point in DsePoint::verilog (unit-latency models only —
   /// the emitter rejects multicycle designs). Used by the determinism
-  /// tests and `mphls bench` to prove thread-count independence.
+  /// tests to prove thread-count independence.
   bool dseCaptureVerilog = false;
 };
 
 /// Wall-clock seconds spent in each pipeline stage of one synthesis run,
 /// recorded unconditionally (the clock costs nanoseconds per stage) so
-/// BenchReporter can break down where synthesis time goes.
+/// `mphls profile` can break down where synthesis time goes.
 struct StageTimes {
   double optimize = 0;   ///< high-level transformation passes
   double schedule = 0;   ///< control-step assignment (incl. validation)

@@ -3,8 +3,8 @@
 // Pipeline stages publish here (pass change counts, stage seconds, cache
 // hit/miss, DSE point timings, fuzz campaign progress, simulation
 // coverage); the CLI exports a snapshot as JSON via --stats and `mphls
-// profile`, and `mphls bench` embeds the same snapshot in its report so
-// there is one source of numeric truth.
+// profile`, and the serve daemon returns the same snapshot from /metrics,
+// so there is one source of numeric truth.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime: reset() zeroes values but never invalidates them,

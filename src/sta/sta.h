@@ -106,8 +106,8 @@ struct StaResult {
 
 /// Machine-readable report ({"<key>": name, "clock_ns": ..., "paths":
 /// [...], ...}) in the deterministic sorted convention the lint/prove
-/// JSON reports use. Shared by `mphls sta --format json`, the bench
-/// suite and the golden tests.
+/// JSON reports use. Shared by `mphls sta --format json`, the serve
+/// daemon's /sta endpoint and the golden tests.
 [[nodiscard]] JsonValue staReportJson(const std::string& key,
                                       const std::string& name,
                                       const StaResult& r);

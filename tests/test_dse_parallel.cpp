@@ -350,16 +350,18 @@ TEST(DseParallelForceDirected, MatchesReferenceOnDiffeqAndBuiltins) {
 }
 
 TEST(DseParallelForceDirected, MatchesReferenceOnRandomDfgs) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Function fn = randomDfg(18, seed * 7919);
-    BlockDeps deps(fn, fn.block(fn.entry()));
-    LevelInfo li = computeLevels(deps);
-    for (int slack : {0, 1, 3}) {
-      const int horizon = li.criticalLength + slack;
-      BlockSchedule inc = forceDirectedSchedule(deps, horizon);
-      BlockSchedule ref = forceDirectedScheduleReference(deps, horizon);
-      ASSERT_EQ(inc.step, ref.step)
-          << "seed " << seed << " horizon " << horizon;
+  for (int ops : {18, 24, 48}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Function fn = randomDfg(ops, seed * 7919);
+      BlockDeps deps(fn, fn.block(fn.entry()));
+      LevelInfo li = computeLevels(deps);
+      for (int slack = 0; slack <= 3; ++slack) {
+        const int horizon = li.criticalLength + slack;
+        BlockSchedule inc = forceDirectedSchedule(deps, horizon);
+        BlockSchedule ref = forceDirectedScheduleReference(deps, horizon);
+        ASSERT_EQ(inc.step, ref.step) << ops << " ops, seed " << seed
+                                      << ", horizon " << horizon;
+      }
     }
   }
 }
