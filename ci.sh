@@ -23,7 +23,8 @@
 #  - an AddressSanitizer+UBSan pass over the whole suite and a
 #    ThreadSanitizer pass over the parallel-DSE layer and the serve daemon;
 #  - an observability smoke validating the Chrome trace, metrics JSON and
-#    VCD waveform from `mphls profile`;
+#    VCD waveform from `mphls profile`, and the spans of a traced
+#    `mphls lint` (netlist emit and lint, STA);
 #  - a serve smoke: daemon on an ephemeral port, byte-diff of every
 #    endpoint against the offline CLI, a Prometheus text-exposition gate,
 #    a concurrent loadgen run with a schema and zero-error check of
@@ -168,39 +169,51 @@ cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 # --- Observability smoke: `mphls profile` must emit a well-formed Chrome
 # trace (balanced B/E nesting on every track, monotone timestamps), a
 # metrics JSON with full FSM state coverage on the sqrt controller, and a
-# VCD that declares wires and replays at least one FSM state change.
+# VCD that declares wires and replays at least one FSM state change. A
+# traced `mphls lint` must be just as well-formed and show the netlist
+# emit, the netlist lint and the timing engine's spans.
 OBS_OUT=build/obs-smoke
 mkdir -p "$OBS_OUT"
 ./build/src/cli/mphls profile examples/sqrt.bdl \
   --trace "$OBS_OUT/trace.json" --vcd "$OBS_OUT/wave.vcd" \
   --stats "$OBS_OUT/metrics.json" --quiet > /dev/null
+./build/src/cli/mphls lint examples/sqrt.bdl \
+  --trace "$OBS_OUT/lint-trace.json" > /dev/null
 python3 - "$OBS_OUT/trace.json" "$OBS_OUT/metrics.json" \
-  "$OBS_OUT/wave.vcd" << 'EOF'
+  "$OBS_OUT/wave.vcd" "$OBS_OUT/lint-trace.json" << 'EOF'
 import json, sys
 
-trace = json.load(open(sys.argv[1]))
-assert trace.get("displayTimeUnit") == "ms"
-events = trace["traceEvents"]
-assert events, "trace has no events"
-stacks, last_ts = {}, {}
-for e in events:
-    assert e["pid"] == 1 and isinstance(e["tid"], int)
-    if e["ph"] == "M":
-        continue
-    assert e["ts"] >= last_ts.get(e["tid"], 0.0), "timestamps regress"
-    last_ts[e["tid"]] = e["ts"]
-    if e["ph"] == "B":
-        stacks.setdefault(e["tid"], []).append(e["name"])
-    elif e["ph"] == "E":
-        assert stacks.get(e["tid"]), f"E without B on tid {e['tid']}"
-        top = stacks[e["tid"]].pop()
-        assert top == e["name"], f"mismatched span: {top} vs {e['name']}"
-for tid, stack in stacks.items():
-    assert not stack, f"unbalanced spans on tid {tid}: {stack}"
-names = {e["name"] for e in events if e["ph"] == "B"}
+def span_names(path):
+    """Validate a Chrome trace; return the names of its spans."""
+    trace = json.load(open(path))
+    assert trace.get("displayTimeUnit") == "ms"
+    events = trace["traceEvents"]
+    assert events, f"{path}: trace has no events"
+    stacks, last_ts = {}, {}
+    for e in events:
+        assert e["pid"] == 1 and isinstance(e["tid"], int)
+        if e["ph"] == "M":
+            continue
+        assert e["ts"] >= last_ts.get(e["tid"], 0.0), "timestamps regress"
+        last_ts[e["tid"]] = e["ts"]
+        if e["ph"] == "B":
+            stacks.setdefault(e["tid"], []).append(e["name"])
+        elif e["ph"] == "E":
+            assert stacks.get(e["tid"]), f"E without B on tid {e['tid']}"
+            top = stacks[e["tid"]].pop()
+            assert top == e["name"], f"mismatched span: {top} vs {e['name']}"
+    for tid, stack in stacks.items():
+        assert not stack, f"{path}: unbalanced spans on tid {tid}: {stack}"
+    return {e["name"] for e in events if e["ph"] == "B"}
+
+names = span_names(sys.argv[1])
 for span in ("stage.schedule", "stage.allocate", "stage.control",
              "sim.rtl", "opt.pipeline"):
     assert span in names, f"trace missing span {span}"
+lint_names = span_names(sys.argv[4])
+for span in ("lint.verilog", "rtl.verilog", "sta.run", "sta.graph",
+             "sta.structural"):
+    assert span in lint_names, f"lint trace missing span {span}"
 
 metrics = json.load(open(sys.argv[2]))
 cov = metrics["gauges"]["sim.fsm_state_coverage"]
@@ -217,7 +230,7 @@ state_changes = sum(
     if l.startswith("b") and l.endswith(" " + state_code))
 assert state_changes >= 2, "VCD replays no FSM state change"
 
-print("obs smoke: trace balanced, sqrt FSM coverage 100%, VCD has "
+print("obs smoke: traces balanced, sqrt FSM coverage 100%, VCD has "
       f"{state_changes} state changes")
 EOF
 

@@ -1,11 +1,17 @@
 #include "check/lint_verilog.h"
 
 #include <algorithm>
-#include <cctype>
+#include <cstdlib>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace mphls {
 
@@ -16,28 +22,51 @@ namespace {
 struct Tok {
   enum class Kind { Id, Num, Punct, End };
   Kind kind = Kind::End;
-  std::string text;
+  std::string_view text;  ///< view into the linted source
   int line = 1;
   int width = 0;     ///< sized-literal width (Num with a ' base), else 0
+  int id = -1;       ///< interned identifier (Id), else -1
 };
 
-std::vector<Tok> tokenize(const std::string& src, CheckReport& report) {
+/// The token stream plus the identifier table: every distinct identifier
+/// is interned once, so the net table and the comb graph work on ids.
+struct Lexed {
   std::vector<Tok> toks;
+  std::vector<std::string_view> names;  ///< by interned id
+};
+
+int toInt(std::string_view text) {
+  return std::atoi(std::string(text).c_str());
+}
+
+// Character classes of the "C" locale (the program never changes it),
+// without the locale lookup of <cctype>.
+constexpr bool isDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool isAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool isAlnum(char c) { return isAlpha(c) || isDigit(c); }
+constexpr bool isSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+Lexed tokenize(const std::string& src, CheckReport& report) {
+  Lexed lx;
+  std::vector<Tok>& toks = lx.toks;
+  std::unordered_map<std::string_view, int> ids;
+  toks.reserve(src.size() / 4 + 1);
   int line = 1;
   std::size_t i = 0;
   const std::size_t n = src.size();
-  auto isIdStart = [](char c) {
-    return std::isalpha((unsigned char)c) || c == '_' || c == '$';
-  };
-  auto isIdChar = [&](char c) {
-    return std::isalnum((unsigned char)c) || c == '_' || c == '$';
-  };
+  const std::string_view all(src);
+  auto isIdStart = [](char c) { return isAlpha(c) || c == '_' || c == '$'; };
+  auto isIdChar = [](char c) { return isAlnum(c) || c == '_' || c == '$'; };
   while (i < n) {
     char c = src[i];
     if (c == '\n') {
       ++line;
       ++i;
-    } else if (std::isspace((unsigned char)c)) {
+    } else if (isSpace(c)) {
       ++i;
     } else if (c == '/' && i + 1 < n && src[i + 1] == '/') {
       while (i < n && src[i] != '\n') ++i;
@@ -51,24 +80,27 @@ std::vector<Tok> tokenize(const std::string& src, CheckReport& report) {
     } else if (isIdStart(c)) {
       std::size_t j = i;
       while (j < n && isIdChar(src[j])) ++j;
-      toks.push_back({Tok::Kind::Id, src.substr(i, j - i), line, 0});
+      const std::string_view text = all.substr(i, j - i);
+      const auto [it, fresh] = ids.try_emplace(text, (int)lx.names.size());
+      if (fresh) lx.names.push_back(text);
+      toks.push_back({Tok::Kind::Id, text, line, 0, it->second});
       i = j;
-    } else if (std::isdigit((unsigned char)c)) {
+    } else if (isDigit(c)) {
       std::size_t j = i;
-      while (j < n && std::isdigit((unsigned char)src[j])) ++j;
+      while (j < n && isDigit(src[j])) ++j;
       if (j < n && src[j] == '\'') {
         // Sized literal: width ' base digits.
-        int width = std::atoi(src.substr(i, j - i).c_str());
+        int width = toInt(all.substr(i, j - i));
         ++j;                       // base marker
         if (j < n) ++j;            // base letter (b/d/h/o)
         std::size_t k = j;
-        while (k < n && (std::isalnum((unsigned char)src[k]) ||
+        while (k < n && (isAlnum(src[k]) ||
                          src[k] == '_' || src[k] == 'x' || src[k] == 'z'))
           ++k;
-        toks.push_back({Tok::Kind::Num, src.substr(i, k - i), line, width});
+        toks.push_back({Tok::Kind::Num, all.substr(i, k - i), line, width});
         i = k;
       } else {
-        toks.push_back({Tok::Kind::Num, src.substr(i, j - i), line, 0});
+        toks.push_back({Tok::Kind::Num, all.substr(i, j - i), line, 0});
         i = j;
       }
     } else {
@@ -76,22 +108,24 @@ std::vector<Tok> tokenize(const std::string& src, CheckReport& report) {
       // <<< && || === !==
       static const char* kOps[] = {">>>", "<<<", "===", "!==", "<=", ">=",
                                    "==",  "!=",  "<<",  ">>",  "&&", "||"};
-      std::string text(1, c);
-      for (const char* op : kOps) {
-        std::size_t len = std::char_traits<char>::length(op);
-        if (src.compare(i, len, op) == 0) {
-          text = op;
-          break;
+      std::size_t len = 1;
+      if (std::string_view("<>=!&|").find(c) != std::string_view::npos) {
+        for (const char* op : kOps) {  // only these characters start one
+          const std::size_t l = std::char_traits<char>::length(op);
+          if (src.compare(i, l, op) == 0) {
+            len = l;
+            break;
+          }
         }
       }
-      toks.push_back({Tok::Kind::Punct, text, line, 0});
-      i += text.size();
+      toks.push_back({Tok::Kind::Punct, all.substr(i, len), line, 0});
+      i += len;
     }
   }
   if (toks.empty())
     report.error("lint.parse", "netlist", "empty Verilog source");
-  toks.push_back({Tok::Kind::End, "", line, 0});
-  return toks;
+  toks.push_back({Tok::Kind::End, {}, line, 0});
+  return lx;
 }
 
 // --- net table ----------------------------------------------------------
@@ -114,6 +148,7 @@ std::string_view driverName(DriverSite::Kind k) {
 }
 
 struct Net {
+  bool present = false;  ///< has an entry in the net table
   int width = 1;
   int declLine = 0;
   bool declared = false;
@@ -125,18 +160,87 @@ struct Net {
 };
 
 struct CombEdge {
-  std::string from;
-  std::string to;
-  std::string ctx;  ///< case-arm label ("" = unconditional)
-  int line = 0;
+  int from;
+  int to;
+  int ctx;  ///< case-arm context id (0 = unconditional)
 };
+
+/// Token range [lo, hi) of a collected expression.
+struct Span {
+  std::size_t lo = 0, hi = 0;
+};
+
+/// Iterative Tarjan SCC over nodes 0..n-1 with out-edges adj[first[v] ..
+/// first[v+1]), rooted at `roots` in order (already-visited roots are
+/// skipped). Calls onScc(members) for each component in completion order
+/// (reverse topological order), members in stack-pop order.
+template <class OnScc>
+void tarjan(std::size_t n, const std::vector<int>& first,
+            const std::vector<int>& adj, const std::vector<int>& roots,
+            OnScc&& onScc) {
+  std::vector<int> index(n, -1), low(n, 0), stack, scc;
+  std::vector<char> onStack(n, 0);
+  struct Frame {
+    int node;
+    int child;
+  };
+  std::vector<Frame> call;
+  int counter = 0;
+  auto open = [&](int v) {
+    index[(std::size_t)v] = low[(std::size_t)v] = counter++;
+    stack.push_back(v);
+    onStack[(std::size_t)v] = 1;
+    call.push_back({v, first[(std::size_t)v]});
+  };
+  for (const int start : roots) {
+    if (index[(std::size_t)start] >= 0) continue;
+    open(start);
+    while (!call.empty()) {
+      Frame& f = call.back();
+      const std::size_t u = (std::size_t)f.node;
+      if (f.child < first[u + 1]) {
+        const int next = adj[(std::size_t)f.child++];
+        if (index[(std::size_t)next] < 0) {
+          open(next);
+        } else if (onStack[(std::size_t)next]) {
+          low[u] = std::min(low[u], index[(std::size_t)next]);
+        }
+        continue;
+      }
+      if (low[u] == index[u]) {
+        scc.clear();
+        while (true) {
+          const int v = stack.back();
+          stack.pop_back();
+          onStack[(std::size_t)v] = 0;
+          scc.push_back(v);
+          if (v == f.node) break;
+        }
+        onScc(scc);
+      }
+      const int done = f.node;
+      call.pop_back();
+      if (!call.empty()) {
+        const std::size_t p = (std::size_t)call.back().node;
+        low[p] = std::min(low[p], low[(std::size_t)done]);
+      }
+    }
+  }
+}
 
 // --- parser -------------------------------------------------------------
 
 class Linter {
  public:
-  Linter(std::vector<Tok> toks, CheckReport& report)
-      : toks_(std::move(toks)), report_(report) {}
+  Linter(Lexed lx, CheckReport& report)
+      : toks_(std::move(lx.toks)),
+        names_(std::move(lx.names)),
+        nets_(names_.size()),
+        seen_(names_.size(), 0),
+        report_(report) {
+    ctxNames_.emplace_back();
+    ctxIds_.emplace("", 0);
+  }
 
   void run() {
     parseModule();
@@ -145,10 +249,17 @@ class Linter {
 
  private:
   std::vector<Tok> toks_;
+  std::vector<std::string_view> names_;  ///< identifier text by id
+  std::vector<Net> nets_;                ///< by identifier id
+  std::vector<CombEdge> edges_;
+  std::vector<std::string> ctxNames_;    ///< case-arm context by id
+  std::map<std::string, int> ctxIds_;
+  /// Per-identifier mark (== seenMark_) deduping the reads of one
+  /// assignment and the targets of one always block.
+  std::vector<unsigned> seen_;
+  unsigned seenMark_ = 0;
   CheckReport& report_;
   std::size_t pos_ = 0;
-  std::map<std::string, Net> nets_;
-  std::vector<CombEdge> edges_;
 
   const Tok& peek(std::size_t ahead = 0) const {
     return toks_[std::min(pos_ + ahead, toks_.size() - 1)];
@@ -181,35 +292,51 @@ class Linter {
     while (!atEnd() && !accept(text)) get();
   }
 
-  Net& declare(const std::string& name, int width, int line) {
-    Net& net = nets_[name];
-    if (net.declared) {
-      report_.error("lint.multi-driven", "net " + name,
+  std::string netWhere(int id) const {
+    return "net " + std::string(names_[(std::size_t)id]);
+  }
+
+  /// The table entry of identifier `id`, created on first use.
+  Net& net(int id) {
+    Net& n = nets_[(std::size_t)id];
+    n.present = true;
+    return n;
+  }
+  /// The table entry of identifier `id`, or null when it has none.
+  const Net* findNet(int id) const {
+    const Net& n = nets_[(std::size_t)id];
+    return n.present ? &n : nullptr;
+  }
+
+  Net& declare(int id, int width, int line) {
+    Net& n = net(id);
+    if (n.declared) {
+      report_.error("lint.multi-driven", netWhere(id),
                     "declared again at " + lineWhere(line));
     }
-    net.declared = true;
-    net.width = width;
-    net.declLine = line;
-    return net;
+    n.declared = true;
+    n.width = width;
+    n.declLine = line;
+    return n;
   }
 
-  void markRead(const std::string& name, int line) {
-    if (name.empty() || name[0] == '$') return;  // system function
-    Net& net = nets_[name];
-    net.read = true;
-    if (!net.declLine) net.declLine = line;
+  void markRead(const Tok& t) {
+    if (t.text[0] == '$') return;  // system function
+    Net& n = net(t.id);
+    n.read = true;
+    if (!n.declLine) n.declLine = t.line;
   }
 
-  void addDriver(const std::string& name, DriverSite::Kind kind, int line) {
-    Net& net = nets_[name];
-    if (!net.declLine) net.declLine = line;
-    net.drivers.push_back({kind, line});
+  void addDriver(int id, DriverSite::Kind kind, int line) {
+    Net& n = net(id);
+    if (!n.declLine) n.declLine = line;
+    n.drivers.push_back({kind, line});
   }
 
   /// Parse an optional `[msb:lsb]` range; returns the width (1 if absent).
   int parseRange() {
     if (!accept("[")) return 1;
-    int msb = std::atoi(peek().text.c_str());
+    int msb = toInt(peek().text);
     skipToClose("[", "]");
     return msb + 1;  // emitted ranges are always [msb:0]
   }
@@ -225,22 +352,25 @@ class Linter {
 
   // --- expressions ------------------------------------------------------
 
-  /// Collect an expression's tokens until a top-level stop punctuation,
-  /// marking every identifier as read. Does not consume the stop token.
-  std::vector<Tok> collectExpr(const std::set<std::string>& stops) {
-    std::vector<Tok> out;
+  /// Collect an expression's tokens until a top-level stop punctuation
+  /// (any single character of `stops`), marking every identifier as read.
+  /// Does not consume the stop token.
+  Span collectExpr(std::string_view stops) {
+    Span out{pos_, pos_};
     int depth = 0;
     while (!atEnd()) {
       const Tok& t = peek();
-      if (depth == 0 && t.kind == Tok::Kind::Punct && stops.count(t.text))
+      if (depth == 0 && t.kind == Tok::Kind::Punct && t.text.size() == 1 &&
+          stops.find(t.text[0]) != std::string_view::npos)
         break;
       if (t.text == "(" || t.text == "[" || t.text == "{") ++depth;
       if (t.text == ")" || t.text == "]" || t.text == "}") {
         if (depth == 0) break;
         --depth;
       }
-      if (t.kind == Tok::Kind::Id) markRead(t.text, t.line);
-      out.push_back(get());
+      if (t.kind == Tok::Kind::Id) markRead(t);
+      get();
+      out.hi = pos_;
     }
     return out;
   }
@@ -248,8 +378,8 @@ class Linter {
   /// Width of a "provably sized" expression: a lone identifier, a sized
   /// literal, a concatenation/replication of such, or parens around one.
   /// Returns 0 when the width cannot be proven statically.
-  int provenWidth(const std::vector<Tok>& e, std::size_t lo,
-                  std::size_t hi) const {
+  int provenWidth(std::size_t lo, std::size_t hi) const {
+    const std::vector<Tok>& e = toks_;
     // Strip enclosing parens.
     while (hi - lo >= 2 && e[lo].text == "(" && e[hi - 1].text == ")") {
       int depth = 0;
@@ -271,9 +401,8 @@ class Linter {
       const Tok& t = e[lo];
       if (t.kind == Tok::Kind::Num) return t.width;  // 0 when unsized
       if (t.kind == Tok::Kind::Id) {
-        auto it = nets_.find(t.text);
-        if (it != nets_.end() && it->second.declared && !it->second.isParam)
-          return it->second.width;
+        const Net* n = findNet(t.id);
+        if (n != nullptr && n->declared && !n->isParam) return n->width;
       }
       return 0;
     }
@@ -282,8 +411,8 @@ class Linter {
       // Replication: { Num { expr } }
       if (hi - lo >= 5 && e[lo + 1].kind == Tok::Kind::Num &&
           e[lo + 2].text == "{" && e[hi - 2].text == "}") {
-        int reps = std::atoi(e[lo + 1].text.c_str());
-        int inner = provenWidth(e, lo + 3, hi - 2);
+        int reps = toInt(e[lo + 1].text);
+        int inner = provenWidth(lo + 3, hi - 2);
         return inner > 0 ? reps * inner : 0;
       }
       int total = 0;
@@ -293,25 +422,17 @@ class Linter {
         if (e[i].text == "(" || e[i].text == "{") ++depth;
         if (e[i].text == ")" || e[i].text == "}") --depth;
         if (depth == 0 && e[i].text == ",") {
-          int w = provenWidth(e, start, i);
+          int w = provenWidth(start, i);
           if (w <= 0) return 0;
           total += w;
           start = i + 1;
         }
       }
-      int w = provenWidth(e, start, hi - 1);
+      int w = provenWidth(start, hi - 1);
       if (w <= 0) return 0;
       return total + w;
     }
     return 0;
-  }
-
-  /// Every distinct identifier read inside an expression token list.
-  static std::set<std::string> idsOf(const std::vector<Tok>& e) {
-    std::set<std::string> ids;
-    for (const Tok& t : e)
-      if (t.kind == Tok::Kind::Id && t.text[0] != '$') ids.insert(t.text);
-    return ids;
   }
 
   // --- module structure -------------------------------------------------
@@ -326,6 +447,7 @@ class Linter {
 
   void parsePortList() {
     while (!atEnd() && !accept(")")) {
+      const std::size_t start = pos_;
       bool isInput = false, isOutput = false;
       if (accept("input")) isInput = true;
       else if (accept("output")) isOutput = true;
@@ -335,12 +457,18 @@ class Linter {
       int width = parseRange();
       if (peek().kind == Tok::Kind::Id) {
         const Tok& t = get();
-        Net& net = declare(t.text, width, t.line);
-        net.isInput = isInput;
-        net.isOutput = isOutput;
-        if (isInput) addDriver(t.text, DriverSite::Kind::InputPort, t.line);
+        Net& n = declare(t.id, width, t.line);
+        n.isInput = isInput;
+        n.isOutput = isOutput;
+        if (isInput) addDriver(t.id, DriverSite::Kind::InputPort, t.line);
       }
       accept(",");
+      if (pos_ == start) {  // e.g. a ';' where the list lacks its ')'
+        report_.error("lint.parse", lineWhere(peek().line),
+                      "unexpected '" + std::string(peek().text) +
+                          "' in the port list");
+        get();
+      }
     }
   }
 
@@ -352,11 +480,11 @@ class Linter {
       int width = parseRange();
       while (peek().kind == Tok::Kind::Id) {
         const Tok& t = get();
-        declare(t.text, width, t.line);
+        declare(t.id, width, t.line);
         if (isWire && accept("=")) {
           // wire-with-initializer doubles as a continuous assignment
-          auto rhs = collectExpr({";", ","});
-          recordAssign(t.text, t.line, rhs, DriverSite::Kind::Assign, "");
+          const Span rhs = collectExpr(";,");
+          recordAssign(t.id, t.line, rhs, DriverSite::Kind::Assign, 0);
         }
         if (!accept(",")) break;
       }
@@ -366,10 +494,10 @@ class Linter {
       int width = parseRange();
       while (peek().kind == Tok::Kind::Id) {
         const Tok& t = get();
-        Net& net = declare(t.text, width, t.line);
-        net.isParam = true;
-        addDriver(t.text, DriverSite::Kind::Param, t.line);
-        if (accept("=")) (void)collectExpr({";", ","});
+        Net& n = declare(t.id, width, t.line);
+        n.isParam = true;
+        addDriver(t.id, DriverSite::Kind::Param, t.line);
+        if (accept("=")) (void)collectExpr(";,");
         if (!accept(",")) break;
       }
       expect(";");
@@ -381,12 +509,11 @@ class Linter {
         return;
       }
       const Tok& t = get();
-      int lhsWidth = lhsSelectWidth(t.text);
+      int lhsWidth = lhsSelectWidth(t.id);
       expect("=");
-      auto rhs = collectExpr({";"});
+      const Span rhs = collectExpr(";");
       expect(";");
-      recordAssign(t.text, t.line, rhs, DriverSite::Kind::Assign, "",
-                   lhsWidth);
+      recordAssign(t.id, t.line, rhs, DriverSite::Kind::Assign, 0, lhsWidth);
     } else if (accept("always")) {
       parseAlways();
     } else {
@@ -397,22 +524,22 @@ class Linter {
 
   /// Width of the target taking a bit/part select into account; 0 when the
   /// net is unknown (reported separately as lint.undeclared).
-  int lhsSelectWidth(const std::string& name) {
+  int lhsSelectWidth(int id) {
     int w = 0;
-    auto it = nets_.find(name);
-    if (it != nets_.end() && it->second.declared) w = it->second.width;
+    const Net* n = findNet(id);
+    if (n != nullptr && n->declared) w = n->width;
     if (at("[")) {
       get();
-      auto sel = collectExpr({";"});
+      const Span sel = collectExpr(";");
       // Part select [m:l] has width m-l+1; bit select [i] has width 1.
+      const Tok* s = toks_.data() + sel.lo;
+      const int size = (int)(sel.hi - sel.lo);
       int colon = -1;
-      for (std::size_t i = 0; i < sel.size(); ++i)
-        if (sel[i].text == ":" && colon < 0) colon = (int)i;
-      if (colon >= 0 && colon > 0 && colon + 1 < (int)sel.size() &&
-          sel[0].kind == Tok::Kind::Num &&
-          sel[(std::size_t)colon + 1].kind == Tok::Kind::Num) {
-        w = std::atoi(sel[0].text.c_str()) -
-            std::atoi(sel[(std::size_t)colon + 1].text.c_str()) + 1;
+      for (int i = 0; i < size; ++i)
+        if (s[i].text == ":" && colon < 0) colon = i;
+      if (colon >= 0 && colon > 0 && colon + 1 < size &&
+          s[0].kind == Tok::Kind::Num && s[colon + 1].kind == Tok::Kind::Num) {
+        w = toInt(s[0].text) - toInt(s[colon + 1].text) + 1;
       } else {
         w = 1;
       }
@@ -421,29 +548,33 @@ class Linter {
     return w;
   }
 
-  void recordAssign(const std::string& lhs, int line,
-                    const std::vector<Tok>& rhs, DriverSite::Kind kind,
-                    const std::string& ctx, int lhsWidthOverride = -1) {
+  void recordAssign(int lhs, int line, Span rhs, DriverSite::Kind kind,
+                    int ctx, int lhsWidthOverride = -1) {
     addDriver(lhs, kind, line);
     int lhsWidth = lhsWidthOverride;
     if (lhsWidth < 0) {
-      auto it = nets_.find(lhs);
-      lhsWidth =
-          (it != nets_.end() && it->second.declared) ? it->second.width : 0;
+      const Net* n = findNet(lhs);
+      lhsWidth = (n != nullptr && n->declared) ? n->width : 0;
     }
-    int rhsWidth = provenWidth(rhs, 0, rhs.size());
+    int rhsWidth = provenWidth(rhs.lo, rhs.hi);
     if (lhsWidth > 0 && rhsWidth > 0 && lhsWidth != rhsWidth) {
       std::ostringstream oss;
-      oss << lhsWidth << "-bit net " << lhs << " assigned a " << rhsWidth
-          << "-bit expression";
+      oss << lhsWidth << "-bit net " << names_[(std::size_t)lhs]
+          << " assigned a " << rhsWidth << "-bit expression";
       report_.warning("lint.width-mismatch", lineWhere(line), oss.str());
     }
     if (kind == DriverSite::Kind::Assign ||
         kind == DriverSite::Kind::CombAlways) {
-      for (const std::string& id : idsOf(rhs)) {
-        auto it = nets_.find(id);
-        if (it != nets_.end() && it->second.isParam) continue;
-        edges_.push_back({id, lhs, ctx, line});
+      // One edge per distinct identifier read (parameters are constants).
+      ++seenMark_;
+      for (std::size_t i = rhs.lo; i < rhs.hi; ++i) {
+        const Tok& t = toks_[i];
+        if (t.kind != Tok::Kind::Id || t.text[0] == '$') continue;
+        if (seen_[(std::size_t)t.id] == seenMark_) continue;
+        seen_[(std::size_t)t.id] = seenMark_;
+        const Net* n = findNet(t.id);
+        if (n != nullptr && n->isParam) continue;
+        edges_.push_back({t.id, lhs, ctx});
       }
     }
   }
@@ -461,31 +592,41 @@ class Linter {
           else if (t.text == ")") --depth;
           else if (t.text == "posedge" || t.text == "negedge")
             sequential = true;
-          else if (t.kind == Tok::Kind::Id) markRead(t.text, t.line);
+          else if (t.kind == Tok::Kind::Id) markRead(t);
         }
       } else {
         accept("*");
       }
     }
-    // One driver site per target per block.
-    std::map<std::string, int> targets;
-    parseStmt(sequential, "", targets);
-    for (const auto& [name, line] : targets)
-      addDriver(name,
+    // One driver site per target per block, at its first assignment.
+    std::vector<std::pair<int, int>> targets;
+    parseStmt(sequential, 0, targets);
+    ++seenMark_;
+    for (const auto& [id, line] : targets) {
+      if (seen_[(std::size_t)id] == seenMark_) continue;
+      seen_[(std::size_t)id] = seenMark_;
+      addDriver(id,
                 sequential ? DriverSite::Kind::SeqAlways
                            : DriverSite::Kind::CombAlways,
                 line);
+    }
   }
 
-  void parseStmt(bool sequential, const std::string& ctx,
-                 std::map<std::string, int>& targets) {
+  int internCtx(std::string name) {
+    const auto [it, fresh] = ctxIds_.try_emplace(name, (int)ctxNames_.size());
+    if (fresh) ctxNames_.push_back(std::move(name));
+    return it->second;
+  }
+
+  void parseStmt(bool sequential, int ctx,
+                 std::vector<std::pair<int, int>>& targets) {
     if (accept("begin")) {
       while (!atEnd() && !accept("end")) parseStmt(sequential, ctx, targets);
       return;
     }
     if (accept("if")) {
       expect("(");
-      (void)collectExpr({")"});
+      (void)collectExpr(")");
       expect(")");
       parseStmt(sequential, ctx, targets);
       if (accept("else")) parseStmt(sequential, ctx, targets);
@@ -494,165 +635,236 @@ class Linter {
     if (at("case") || at("casez") || at("casex")) {
       get();
       expect("(");
-      (void)collectExpr({")"});
+      (void)collectExpr(")");
       expect(")");
       while (!atEnd() && !accept("endcase")) {
         // Arm: label[, label]: stmt  — or default: stmt.
-        std::string label;
+        std::string_view label;
         if (accept("default")) {
           label = "default";
         } else {
-          auto labels = collectExpr({":"});
-          for (const Tok& t : labels)
-            if (t.kind != Tok::Kind::Punct) {
-              label = t.text;
+          const Span labels = collectExpr(":");
+          for (std::size_t i = labels.lo; i < labels.hi; ++i)
+            if (toks_[i].kind != Tok::Kind::Punct) {
+              label = toks_[i].text;
               break;
             }
         }
         expect(":");
         // Extend the enclosing context so nested cases stay distinct.
-        std::string armCtx = ctx.empty() ? label : ctx + "/" + label;
-        parseStmt(sequential, armCtx, targets);
+        const std::string& outer = ctxNames_[(std::size_t)ctx];
+        std::string armCtx(label);
+        if (!outer.empty()) armCtx = outer + "/" + armCtx;
+        parseStmt(sequential, internCtx(std::move(armCtx)), targets);
       }
       return;
     }
     if (accept(";")) return;
     if (peek().kind == Tok::Kind::Id) {
       const Tok& t = get();
-      int lhsWidth = lhsSelectWidth(t.text);
+      int lhsWidth = lhsSelectWidth(t.id);
       bool assignment = at("=") || at("<=");
       if (!assignment) {
         report_.error("lint.parse", lineWhere(t.line),
-                      "unsupported statement at '" + t.text + "'");
+                      "unsupported statement at '" + std::string(t.text) +
+                          "'");
         skipPast(";");
         return;
       }
       get();  // = or <=
-      auto rhs = collectExpr({";"});
+      const Span rhs = collectExpr(";");
       expect(";");
-      targets.try_emplace(t.text, t.line);
-      recordAssign(t.text, t.line, rhs,
+      targets.emplace_back(t.id, t.line);
+      recordAssign(t.id, t.line, rhs,
                    sequential ? DriverSite::Kind::SeqAlways
                               : DriverSite::Kind::CombAlways,
-                   sequential ? "" : ctx, lhsWidth);
+                   sequential ? 0 : ctx, lhsWidth);
       // recordAssign adds a per-statement driver; always blocks are one
       // driver site per target, so drop the per-statement entry again.
-      nets_[t.text].drivers.pop_back();
+      nets_[(std::size_t)t.id].drivers.pop_back();
       return;
     }
     report_.error("lint.parse", lineWhere(peek().line),
-                  "unsupported statement at '" + peek().text + "'");
+                  "unsupported statement at '" + std::string(peek().text) +
+                      "'");
     get();
   }
 
   // --- final checks -----------------------------------------------------
 
   void finish() {
-    for (const auto& [name, net] : nets_) {
-      std::string where = "net " + name;
-      if (!net.declared) {
-        report_.error("lint.undeclared", where,
-                      "used at " + lineWhere(net.declLine) +
+    // Findings in name order.
+    std::vector<int> byName;
+    for (std::size_t id = 0; id < nets_.size(); ++id)
+      if (nets_[id].present) byName.push_back((int)id);
+    std::sort(byName.begin(), byName.end(), [&](int a, int b) {
+      return names_[(std::size_t)a] < names_[(std::size_t)b];
+    });
+    for (const int id : byName) {
+      const Net& n = nets_[(std::size_t)id];
+      if (!n.declared) {
+        report_.error("lint.undeclared", netWhere(id),
+                      "used at " + lineWhere(n.declLine) +
                           " but never declared");
         continue;
       }
-      if (net.drivers.empty() && (net.read || net.isOutput)) {
-        report_.error("lint.undriven", where,
-                      std::string(net.isOutput ? "output port" : "net") +
-                          " declared at " + lineWhere(net.declLine) +
+      if (n.drivers.empty() && (n.read || n.isOutput)) {
+        report_.error("lint.undriven", netWhere(id),
+                      std::string(n.isOutput ? "output port" : "net") +
+                          " declared at " + lineWhere(n.declLine) +
                           " is never driven");
-      } else if (net.drivers.size() > 1) {
+      } else if (n.drivers.size() > 1) {
         std::ostringstream oss;
-        oss << "driven from " << net.drivers.size() << " sites:";
-        for (const DriverSite& d : net.drivers)
+        oss << "driven from " << n.drivers.size() << " sites:";
+        for (const DriverSite& d : n.drivers)
           oss << " " << driverName(d.kind) << " at " << lineWhere(d.line);
-        report_.error("lint.multi-driven", where, oss.str());
+        report_.error("lint.multi-driven", netWhere(id), oss.str());
       }
-      if (!net.read && net.drivers.empty()) {
-        report_.warning("lint.unused", where,
-                        "declared at " + lineWhere(net.declLine) +
+      if (!n.read && n.drivers.empty()) {
+        report_.warning("lint.unused", netWhere(id),
+                        "declared at " + lineWhere(n.declLine) +
                             " but neither read nor driven");
       }
     }
-    findCombLoops();
+    findCombLoops(byName);
+  }
+
+  /// CSR adjacency (first, adj) over node ids 0..n-1 of the edges
+  /// `ids` (indices into edges_), each node's out-edges in edge order.
+  void adjacency(std::size_t n, const std::vector<int>& ids,
+                 const std::vector<int>& local, std::vector<int>& first,
+                 std::vector<int>& adj) const {
+    first.assign(n + 1, 0);
+    for (const int e : ids)
+      first[(std::size_t)local[(std::size_t)edges_[(std::size_t)e].from] +
+            1] += 1;
+    for (std::size_t i = 0; i < n; ++i) first[i + 1] += first[i];
+    adj.resize(ids.size());
+    std::vector<int> fill(first.begin(), first.end() - 1);
+    for (const int e : ids) {
+      const CombEdge& ce = edges_[(std::size_t)e];
+      adj[(std::size_t)fill[(std::size_t)local[(std::size_t)ce.from]]++] =
+          local[(std::size_t)ce.to];
+    }
+  }
+
+  /// Component id per identifier of the graph formed by edge subset
+  /// `ids` (Tarjan completion order, so an edge between two components
+  /// runs from the higher id to the lower).
+  std::vector<int> components(const std::vector<int>& ids) const {
+    const std::size_t n = names_.size();
+    std::vector<int> identity(n), first, adj, comp(n, -1);
+    for (std::size_t i = 0; i < n; ++i) identity[i] = (int)i;
+    adjacency(n, ids, identity, first, adj);
+    int next = 0;
+    tarjan(n, first, adj, identity, [&](const std::vector<int>& scc) {
+      for (const int v : scc) comp[(std::size_t)v] = next;
+      ++next;
+    });
+    return comp;
   }
 
   /// Combinational-loop detection: Tarjan SCC over the comb net graph,
-  /// once per case-arm context (unconditional edges join every context).
-  void findCombLoops() {
-    std::set<std::string> contexts{""};
-    for (const CombEdge& e : edges_) contexts.insert(e.ctx);
-    std::set<std::vector<std::string>> reported;
-    for (const std::string& ctx : contexts) {
-      // Adjacency restricted to this context.
-      std::map<std::string, std::vector<std::string>> adj;
-      std::set<std::pair<std::string, std::string>> selfOk;
-      for (const CombEdge& e : edges_) {
-        if (!e.ctx.empty() && e.ctx != ctx) continue;
-        adj[e.from].push_back(e.to);
-        if (e.from == e.to) selfOk.insert({e.from, e.to});
+  /// once per case-arm context (unconditional edges join every context),
+  /// contexts in name order with the unconditional one first; `byName`
+  /// is the net table in name order.
+  ///
+  /// A context is skipped when none of its own edges can lie on a cycle.
+  /// Every cycle of a context's graph stays inside one component of the
+  /// union of all contexts, and its unconditional edges never run
+  /// backward in a topological order of the unconditional graph's
+  /// components. So an own edge that leaves its union component, or runs
+  /// strictly forward in that order, is on no cycle; a context whose own
+  /// edges are all such has exactly the unconditional graph's loops,
+  /// which the unconditional pass has already reported.
+  void findCombLoops(const std::vector<int>& byName) {
+    std::vector<int> all(edges_.size());
+    std::vector<std::vector<int>> own(ctxNames_.size());
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+      all[e] = (int)e;
+      own[(std::size_t)edges_[e].ctx].push_back((int)e);
+    }
+    const std::vector<int>& uncond = own[0];
+    // Component ids count in Tarjan completion order: an edge between two
+    // components runs from the higher id to the lower.
+    const std::vector<int> compU = components(uncond);
+    const std::vector<int> compAll = components(all);
+    auto harmless = [&](int e) {
+      const CombEdge& ce = edges_[(std::size_t)e];
+      const std::size_t a = (std::size_t)ce.from, b = (std::size_t)ce.to;
+      return compU[a] > compU[b] || compAll[a] != compAll[b];
+    };
+
+    // Every net an edge touches is in the table: rank[id] is its place
+    // in name order.
+    std::vector<int> rank(names_.size(), -1);
+    for (std::size_t r = 0; r < byName.size(); ++r)
+      rank[(std::size_t)byName[r]] = (int)r;
+
+    std::vector<int> contexts;
+    for (std::size_t c = 0; c < own.size(); ++c)
+      if (c == 0 || !own[c].empty()) contexts.push_back((int)c);
+    std::sort(contexts.begin(), contexts.end(), [&](int a, int b) {
+      return ctxNames_[(std::size_t)a] < ctxNames_[(std::size_t)b];
+    });
+
+    std::set<std::vector<int>> reported;  // SCCs as sorted name ranks
+    std::vector<int> local(names_.size(), -1), global, ids, first, adj,
+        roots;
+    for (const int ctx : contexts) {
+      const std::vector<int>& mine = own[(std::size_t)ctx];
+      if (std::all_of(mine.begin(), mine.end(), harmless)) continue;
+      // This context's graph: unconditional edges plus its own, in edge
+      // order, over a local numbering of the nets they touch.
+      ids.clear();
+      if (ctx == 0) {
+        ids = uncond;
+      } else {
+        std::merge(uncond.begin(), uncond.end(), mine.begin(), mine.end(),
+                   std::back_inserter(ids));
       }
-      // Iterative Tarjan.
-      std::map<std::string, int> index, low;
-      std::map<std::string, bool> onStack;
-      std::vector<std::string> stack;
-      int counter = 0;
-      struct Frame {
-        std::string node;
-        std::size_t child = 0;
-      };
-      for (const auto& [start, unused] : adj) {
-        (void)unused;
-        if (index.count(start)) continue;
-        std::vector<Frame> call{{start, 0}};
-        index[start] = low[start] = counter++;
-        stack.push_back(start);
-        onStack[start] = true;
-        while (!call.empty()) {
-          Frame& f = call.back();
-          auto& succ = adj[f.node];
-          if (f.child < succ.size()) {
-            const std::string& next = succ[f.child++];
-            if (!index.count(next)) {
-              index[next] = low[next] = counter++;
-              stack.push_back(next);
-              onStack[next] = true;
-              call.push_back({next, 0});
-            } else if (onStack[next]) {
-              low[f.node] = std::min(low[f.node], index[next]);
-            }
-          } else {
-            if (low[f.node] == index[f.node]) {
-              std::vector<std::string> scc;
-              while (true) {
-                std::string v = stack.back();
-                stack.pop_back();
-                onStack[v] = false;
-                scc.push_back(v);
-                if (v == f.node) break;
-              }
-              bool loop = scc.size() > 1 ||
-                          selfOk.count({scc.front(), scc.front()}) > 0;
-              if (loop) {
-                std::sort(scc.begin(), scc.end());
-                if (reported.insert(scc).second) {
-                  std::ostringstream oss;
-                  oss << "combinational cycle through";
-                  for (const std::string& v : scc) oss << " " << v;
-                  if (!ctx.empty()) oss << " (case arm " << ctx << ")";
-                  report_.error("lint.comb-loop", "net " + scc.front(),
-                                oss.str());
-                }
-              }
-            }
-            std::string done = f.node;
-            call.pop_back();
-            if (!call.empty())
-              low[call.back().node] =
-                  std::min(low[call.back().node], low[done]);
+      for (const int v : global) local[(std::size_t)v] = -1;
+      global.clear();
+      std::vector<char> selfLoop;
+      for (const int e : ids) {
+        const CombEdge& ce = edges_[(std::size_t)e];
+        for (const int v : {ce.from, ce.to})
+          if (local[(std::size_t)v] < 0) {
+            local[(std::size_t)v] = (int)global.size();
+            global.push_back(v);
+            selfLoop.push_back(0);
           }
-        }
+        if (ce.from == ce.to)
+          selfLoop[(std::size_t)local[(std::size_t)ce.from]] = 1;
       }
+      adjacency(global.size(), ids, local, first, adj);
+      // Roots: every net with an out-edge here, in name order.
+      roots.clear();
+      for (std::size_t v = 0; v < global.size(); ++v)
+        if (first[v + 1] > first[v]) roots.push_back((int)v);
+      std::sort(roots.begin(), roots.end(), [&](int a, int b) {
+        return rank[(std::size_t)global[(std::size_t)a]] <
+               rank[(std::size_t)global[(std::size_t)b]];
+      });
+      tarjan(global.size(), first, adj, roots,
+             [&](const std::vector<int>& scc) {
+               if (scc.size() == 1 && !selfLoop[(std::size_t)scc.front()])
+                 return;
+               std::vector<int> key;
+               for (const int v : scc)
+                 key.push_back(rank[(std::size_t)global[(std::size_t)v]]);
+               std::sort(key.begin(), key.end());
+               if (!reported.insert(key).second) return;
+               std::ostringstream oss;
+               oss << "combinational cycle through";
+               for (const int r : key)
+                 oss << " " << names_[(std::size_t)byName[(std::size_t)r]];
+               const std::string& label = ctxNames_[(std::size_t)ctx];
+               if (!label.empty()) oss << " (case arm " << label << ")";
+               report_.error("lint.comb-loop",
+                             netWhere(byName[(std::size_t)key.front()]),
+                             oss.str());
+             });
     }
   }
 };
@@ -660,6 +872,9 @@ class Linter {
 }  // namespace
 
 void lintVerilog(const std::string& source, CheckReport& report) {
+  obs::TraceSpan span("lint.verilog", [&] {
+    return "bytes=" + std::to_string(source.size());
+  });
   Linter(tokenize(source, report), report).run();
 }
 

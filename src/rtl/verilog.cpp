@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/bitutil.h"
+#include "obs/trace.h"
 
 namespace mphls {
 
@@ -129,6 +130,7 @@ std::string opExpr(OpKind k, const std::string& a, const std::string& b,
 }  // namespace
 
 std::string emitVerilog(const RtlDesign& d) {
+  obs::TraceSpan span("rtl.verilog");
   for (const CtrlState& st : d.ctrl.states)
     for (const FuAction& fa : st.fuActions)
       MPHLS_CHECK(fa.cycles <= 1,

@@ -1,10 +1,15 @@
 #include "sta/sta.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,41 +21,148 @@ namespace mphls::sta {
 
 namespace {
 
+/// What a timing-graph node stands for: a launch point, a mux or
+/// functional-unit output, or a capture point.
+enum class Pin : std::uint8_t {
+  LaunchReg,
+  LaunchPort,
+  LaunchConst,
+  Fu,
+  MuxFu,
+  MuxReg,
+  MuxPort,
+  CapReg,
+  CapPort,
+  CapStage,
+  CapFsm,
+  Unknown,
+};
+
+/// A node's identity in the design's own ids: register, port or unit id
+/// (`id`), the operand slot of a unit-input mux (`slot`), and for
+/// constants the payload and root width (`imm`, `id`). Repeated references
+/// to the same pin (one FU output feeding three captures) dedupe onto one
+/// node; the human name is rendered only for nodes on a reported path.
+struct NodeKey {
+  Pin pin = Pin::Unknown;
+  int id = 0;
+  int slot = 0;
+  std::int64_t imm = 0;
+
+  friend bool operator==(const NodeKey& a, const NodeKey& b) {
+    return a.pin == b.pin && a.id == b.id && a.slot == b.slot &&
+           a.imm == b.imm;
+  }
+};
+
+struct NodeKeyHash {
+  std::size_t operator()(const NodeKey& k) const {
+    std::uint64_t h = (std::uint64_t)k.imm * 0x9e3779b97f4a7c15ULL;
+    h ^= ((std::uint64_t)(std::uint32_t)k.id << 8) ^
+         ((std::uint64_t)(std::uint32_t)k.slot << 40) ^ (std::uint64_t)k.pin;
+    return (std::size_t)(h ^ (h >> 29));
+  }
+};
+
+/// Dense numbering of node keys for one design. Keys whose ids are in
+/// range map arithmetically; constants and out-of-range ids (corrupt
+/// input) are numbered on first sight. Every graph of one analysis shares
+/// it, so a slot names the same pin in every state and in the structural
+/// graph.
+class SlotIndex {
+ public:
+  explicit SlotIndex(const RtlDesign& d) {
+    const int regs = (int)d.ic.regInput.size();
+    const int ports =
+        (int)std::max(d.fn.ports().size(), d.ic.outPortInput.size());
+    const int fus = (int)d.binding.fus.size();
+    auto lay = [&](Pin p, int count) {
+      base_[(std::size_t)p] = dense_;
+      count_[(std::size_t)p] = count;
+      dense_ += count;
+    };
+    lay(Pin::LaunchReg, regs);
+    lay(Pin::LaunchPort, ports);
+    lay(Pin::LaunchConst, 0);
+    lay(Pin::Fu, fus);
+    lay(Pin::MuxFu, 3 * fus);
+    lay(Pin::MuxReg, regs);
+    lay(Pin::MuxPort, ports);
+    lay(Pin::CapReg, regs);
+    lay(Pin::CapPort, ports);
+    lay(Pin::CapStage, fus);
+    lay(Pin::CapFsm, 1);
+    lay(Pin::Unknown, 1);
+  }
+
+  int slot(const NodeKey& k) {
+    const std::size_t p = (std::size_t)k.pin;
+    const bool mux = k.pin == Pin::MuxFu;
+    if (k.id >= 0 && k.id < (mux ? count_[p] / 3 : count_[p]))
+      return base_[p] + (mux ? k.id * 3 + k.slot : k.id);
+    return extra_.try_emplace(k, dense_ + (int)extra_.size()).first->second;
+  }
+
+ private:
+  int base_[(std::size_t)Pin::Unknown + 1] = {};
+  int count_[(std::size_t)Pin::Unknown + 1] = {};
+  int dense_ = 0;
+  std::unordered_map<NodeKey, int, NodeKeyHash> extra_;
+};
+
 /// A timing graph: nodes are datapath pins (launch points, mux outputs,
 /// FU outputs, capture points), edges carry the library delay between
-/// them. Keys are stable strings so repeated references to the same pin
-/// (e.g. one FU output feeding three captures) dedupe onto one node;
-/// `display` is the human name used in path reports.
+/// them. One graph is cleared and rebuilt per state, keeping its storage.
 struct Graph {
   struct Node {
-    std::string display;
+    NodeKey key;
+    int slot = 0;
     double init = 0;  ///< arrival before any in-edge (launches, busy FUs)
     double arrival = 0;
-    int indeg = 0;
     int pred = -1;       ///< best in-edge, for path backtracking
     double predIncr = 0;
     bool endpoint = false;
   };
+  struct Edge {
+    int from;
+    int to;
+    double delay;
+  };
+
+  explicit Graph(SlotIndex& slots) : slots_(slots) {}
 
   std::vector<Node> nodes;
-  std::vector<std::vector<std::pair<int, double>>> out;
-  std::map<std::string, int> index;
+  std::vector<Edge> edges;
+  std::vector<int> endpoints;  ///< endpoint nodes, in marking order
 
-  int node(const std::string& key, const std::string& display) {
-    auto it = index.find(key);
-    if (it != index.end()) return it->second;
+  void clear() {
+    nodes.clear();
+    edges.clear();
+    endpoints.clear();
+    ++stamp_;
+  }
+
+  /// The node for `key` and whether this call created it.
+  std::pair<int, bool> node(const NodeKey& key) {
+    const int s = slots_.slot(key);
+    if ((std::size_t)s >= slotNode_.size()) {
+      slotNode_.resize((std::size_t)s + 1);
+      slotStamp_.resize((std::size_t)s + 1, 0);
+    }
+    if (slotStamp_[(std::size_t)s] == stamp_)
+      return {slotNode_[(std::size_t)s], false};
     const int id = (int)nodes.size();
-    index.emplace(key, id);
+    slotStamp_[(std::size_t)s] = stamp_;
+    slotNode_[(std::size_t)s] = id;
     Node n;
-    n.display = display;
-    nodes.push_back(std::move(n));
-    out.emplace_back();
-    return id;
+    n.key = key;
+    n.slot = s;
+    nodes.push_back(n);
+    return {id, true};
   }
 
   void edge(int from, int to, double delay) {
-    out[(std::size_t)from].emplace_back(to, delay);
-    nodes[(std::size_t)to].indeg += 1;
+    edges.push_back({from, to, delay});
   }
 
   void raiseInit(int id, double v) {
@@ -58,37 +170,65 @@ struct Graph {
     n.init = std::max(n.init, v);
   }
 
-  void markEndpoint(int id) { nodes[(std::size_t)id].endpoint = true; }
+  void markEndpoint(int id) {
+    Node& n = nodes[(std::size_t)id];
+    if (!n.endpoint) endpoints.push_back(id);
+    n.endpoint = true;
+  }
 
   /// Kahn topological longest-path relaxation. Returns false when a
   /// combinational cycle keeps some nodes unprocessed (their arrivals
   /// stay at `init`).
   bool relax() {
-    std::vector<int> ready;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::size_t n = nodes.size();
+    // Out-edges grouped per node in insertion order (CSR).
+    first_.assign(n + 1, 0);
+    indeg_.assign(n, 0);
+    for (const Edge& e : edges) {
+      first_[(std::size_t)e.from + 1] += 1;
+      indeg_[(std::size_t)e.to] += 1;
+    }
+    for (std::size_t i = 0; i < n; ++i) first_[i + 1] += first_[i];
+    out_.resize(edges.size());
+    fill_.assign(first_.begin(), first_.end() - 1);
+    for (std::size_t e = 0; e < edges.size(); ++e)
+      out_[(std::size_t)fill_[(std::size_t)edges[e].from]++] = (int)e;
+
+    ready_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
       nodes[i].arrival = nodes[i].init;
-      if (nodes[i].indeg == 0) ready.push_back((int)i);
+      if (indeg_[i] == 0) ready_.push_back((int)i);
     }
     std::size_t processed = 0;
-    std::vector<int> indeg(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) indeg[i] = nodes[i].indeg;
-    while (!ready.empty()) {
-      const int u = ready.back();
-      ready.pop_back();
+    while (!ready_.empty()) {
+      const int u = ready_.back();
+      ready_.pop_back();
       processed += 1;
-      for (const auto& [v, d] : out[(std::size_t)u]) {
-        const double cand = nodes[(std::size_t)u].arrival + d;
-        if (cand > nodes[(std::size_t)v].arrival) {
-          nodes[(std::size_t)v].arrival = cand;
-          nodes[(std::size_t)v].pred = u;
-          nodes[(std::size_t)v].predIncr = d;
+      for (int k = first_[(std::size_t)u]; k < first_[(std::size_t)u + 1];
+           ++k) {
+        const Edge& e = edges[(std::size_t)out_[(std::size_t)k]];
+        Node& v = nodes[(std::size_t)e.to];
+        const double cand = nodes[(std::size_t)u].arrival + e.delay;
+        if (cand > v.arrival) {
+          v.arrival = cand;
+          v.pred = u;
+          v.predIncr = e.delay;
         }
-        if (--indeg[(std::size_t)v] == 0) ready.push_back(v);
+        if (--indeg_[(std::size_t)e.to] == 0) ready_.push_back(e.to);
       }
     }
-    return processed == nodes.size();
+    return processed == n;
   }
+
+ private:
+  SlotIndex& slots_;
+  unsigned stamp_ = 1;
+  std::vector<int> slotNode_;
+  std::vector<unsigned> slotStamp_;
+  std::vector<int> first_, fill_, out_, indeg_, ready_;
 };
+
+constexpr double kNever = std::numeric_limits<double>::quiet_NaN();
 
 std::string fmt(const char* f, ...) {
   char buf[128];
@@ -116,6 +256,25 @@ std::string portDisplay(const RtlDesign& d, int p) {
   return "port#" + std::to_string(p);
 }
 
+/// Human name of a node, as path reports print it.
+std::string display(const RtlDesign& d, const NodeKey& k) {
+  switch (k.pin) {
+    case Pin::LaunchReg:
+    case Pin::CapReg: return "r" + std::to_string(k.id);
+    case Pin::LaunchPort:
+    case Pin::CapPort: return portDisplay(d, k.id);
+    case Pin::LaunchConst: return "#" + std::to_string((long long)k.imm);
+    case Pin::Fu: return fuDisplay(d, k.id);
+    case Pin::MuxFu: return fmt("mux fu%d.in%d", k.id, k.slot);
+    case Pin::MuxReg: return "mux r" + std::to_string(k.id);
+    case Pin::MuxPort: return "mux " + portDisplay(d, k.id);
+    case Pin::CapStage: return "fu" + std::to_string(k.id) + " stage";
+    case Pin::CapFsm: return "fsm";
+    case Pin::Unknown: break;
+  }
+  return "?";
+}
+
 /// Location tag for a state: "<block>.s<step>".
 std::string stateDesc(const RtlDesign& d, const CtrlState& st) {
   std::string b = st.block.valid() && st.block.index() < d.fn.numBlocks()
@@ -126,25 +285,51 @@ std::string stateDesc(const RtlDesign& d, const CtrlState& st) {
   return b + ".s" + std::to_string(st.step);
 }
 
-/// Per-stage delay of multicycle unit `f` completing in `st` (its issue
-/// action lives in an earlier step of the same block); full component
-/// delay when no issue matches (corrupt input — stay conservative).
-double completionStageDelay(const RtlDesign& d, const CtrlState& st, int f) {
-  const FuInstance& fu = d.binding.fus[(std::size_t)f];
-  const double full = d.lib.component(fu.comp).delay(fu.width);
-  for (const CtrlState& is : d.ctrl.states) {
-    if (is.block != st.block || is.step >= st.step) continue;
-    for (const FuAction& fa : is.fuActions)
-      if (fa.fu == f && fa.cycles > 1 && is.step + fa.cycles - 1 == st.step)
-        return full / fa.cycles;
+/// Per-stage delay of a multicycle unit completing in a state whose own
+/// actions do not use it: its issue action lives in an earlier step of
+/// the same block. Indexed once per analysis by (block, completion step,
+/// unit), keeping the first issue in controller order.
+class CompletionDelays {
+ public:
+  explicit CompletionDelays(const Controller& ctrl) {
+    for (const CtrlState& is : ctrl.states)
+      for (const FuAction& fa : is.fuActions)
+        if (fa.cycles > 1)
+          cycles_.emplace(std::make_tuple(is.block, is.step + fa.cycles - 1,
+                                          fa.fu),
+                          fa.cycles);
   }
-  return full;
+
+  /// Stage delay of unit `f` completing in `st`; the full component delay
+  /// when no issue matches (corrupt input — stay conservative).
+  double of(const RtlDesign& d, const CtrlState& st, int f) const {
+    const FuInstance& fu = d.binding.fus[(std::size_t)f];
+    const double full = d.lib.component(fu.comp).delay(fu.width);
+    const auto it = cycles_.find(std::make_tuple(st.block, st.step, f));
+    return it == cycles_.end() ? full : full / it->second;
+  }
+
+ private:
+  std::map<std::tuple<BlockId, int, int>, int> cycles_;
+};
+
+/// Key of the launch (or FU-output) node of a datapath source. Free
+/// wiring transforms cost nothing and are not separate nodes.
+NodeKey sourceKey(const Source& s) {
+  switch (s.kind) {
+    case Source::Kind::Reg: return {Pin::LaunchReg, s.id, 0, 0};
+    case Source::Kind::Port: return {Pin::LaunchPort, s.id, 0, 0};
+    case Source::Kind::Const: return {Pin::LaunchConst, s.rootWidth, 0, s.imm};
+    case Source::Kind::Fu: return {Pin::Fu, s.id, 0, 0};
+  }
+  return {Pin::Unknown, 0, 0, 0};
 }
 
 /// Builds the graph fragment for one state under state-aware rules.
 struct StateGraphBuilder {
   const RtlDesign& d;
   const CtrlState& st;
+  const CompletionDelays& completions;
   Graph& g;
 
   /// Node for functional unit `f`'s output in this state. Active units
@@ -153,17 +338,15 @@ struct StateGraphBuilder {
   /// merely delivering a previously issued multicycle result arrive at
   /// their final internal stage's delay.
   int fuNode(int f) {
-    const std::string key = "fu " + std::to_string(f);
-    auto it = g.index.find(key);
-    if (it != g.index.end()) return it->second;
-    const int id = g.node(key, fuDisplay(d, f));
+    const auto [id, fresh] = g.node({Pin::Fu, f, 0, 0});
+    if (!fresh) return id;
     if (f < 0 || (std::size_t)f >= d.binding.fus.size()) return id;
     const FuInstance& fu = d.binding.fus[(std::size_t)f];
     const FuAction* act = nullptr;
     for (const FuAction& fa : st.fuActions)
       if (fa.fu == f) act = &fa;
     if (act == nullptr) {
-      g.raiseInit(id, completionStageDelay(d, st, f));
+      g.raiseInit(id, completions.of(d, st, f));
       return id;
     }
     const double compute = d.lib.component(fu.comp).delay(fu.width) /
@@ -173,8 +356,7 @@ struct StateGraphBuilder {
       if (act->muxSel[p] < 0) continue;
       const MuxSpec& m = d.ic.fuInput[(std::size_t)f][(std::size_t)p];
       if (act->muxSel[p] >= m.legs()) continue;  // corrupt; checked elsewhere
-      const int mux = g.node(fmt("mux fu %d.%d", f, p),
-                             fmt("mux fu%d.in%d", f, p));
+      const int mux = g.node({Pin::MuxFu, f, p, 0}).first;
       g.edge(sourceNode(m.sources[(std::size_t)act->muxSel[p]]), mux,
              d.lib.muxDelay(m.legs()));
       g.edge(mux, id, compute);
@@ -182,22 +364,9 @@ struct StateGraphBuilder {
     return id;
   }
 
-  /// Launch (or FU-output) node for a datapath source. Free wiring
-  /// transforms cost nothing and are not separate nodes.
   int sourceNode(const Source& s) {
-    switch (s.kind) {
-      case Source::Kind::Reg:
-        return g.node("launch r " + std::to_string(s.id),
-                      "r" + std::to_string(s.id));
-      case Source::Kind::Port:
-        return g.node("launch p " + std::to_string(s.id), portDisplay(d, s.id));
-      case Source::Kind::Const:
-        return g.node(fmt("launch c %lld w%d", (long long)s.imm, s.rootWidth),
-                      "#" + std::to_string((long long)s.imm));
-      case Source::Kind::Fu:
-        return fuNode(s.id);
-    }
-    return g.node("launch ?", "?");
+    if (s.kind == Source::Kind::Fu) return fuNode(s.id);
+    return g.node(sourceKey(s)).first;
   }
 
   void build() {
@@ -207,8 +376,7 @@ struct StateGraphBuilder {
       fuNode(fa.fu);
       if (fa.cycles > 1) {
         // A multicycle issue latches its first internal stage this cycle.
-        const int cap = g.node("cap stage " + std::to_string(fa.fu),
-                               "fu" + std::to_string(fa.fu) + " stage");
+        const int cap = g.node({Pin::CapStage, fa.fu, 0, 0}).first;
         g.edge(fuNode(fa.fu), cap, setup);
         g.markEndpoint(cap);
       }
@@ -217,12 +385,10 @@ struct StateGraphBuilder {
       if (ra.reg < 0 || (std::size_t)ra.reg >= d.ic.regInput.size()) continue;
       const MuxSpec& m = d.ic.regInput[(std::size_t)ra.reg];
       if (ra.muxSel < 0 || ra.muxSel >= m.legs()) continue;
-      const int mux = g.node("mux r " + std::to_string(ra.reg),
-                             "mux r" + std::to_string(ra.reg));
+      const int mux = g.node({Pin::MuxReg, ra.reg, 0, 0}).first;
       g.edge(sourceNode(m.sources[(std::size_t)ra.muxSel]), mux,
              d.lib.muxDelay(m.legs()));
-      const int cap = g.node("cap r " + std::to_string(ra.reg),
-                             "r" + std::to_string(ra.reg));
+      const int cap = g.node({Pin::CapReg, ra.reg, 0, 0}).first;
       g.edge(mux, cap, setup);
       g.markEndpoint(cap);
     }
@@ -231,18 +397,16 @@ struct StateGraphBuilder {
         continue;
       const MuxSpec& m = d.ic.outPortInput[(std::size_t)pa.port];
       if (pa.muxSel < 0 || pa.muxSel >= m.legs()) continue;
-      const int mux = g.node("mux p " + std::to_string(pa.port),
-                             "mux " + portDisplay(d, pa.port));
+      const int mux = g.node({Pin::MuxPort, pa.port, 0, 0}).first;
       g.edge(sourceNode(m.sources[(std::size_t)pa.muxSel]), mux,
              d.lib.muxDelay(m.legs()));
-      const int cap = g.node("cap p " + std::to_string(pa.port),
-                             portDisplay(d, pa.port));
+      const int cap = g.node({Pin::CapPort, pa.port, 0, 0}).first;
       g.edge(mux, cap, setup);
       g.markEndpoint(cap);
     }
     // FSM next-state logic: the state register loads every cycle; a
     // conditional transition extends the path through the condition.
-    const int fsm = g.node("cap fsm", "fsm");
+    const int fsm = g.node({Pin::CapFsm, 0, 0, 0}).first;
     g.raiseInit(fsm, setup);
     g.markEndpoint(fsm);
     if (st.conditional) g.edge(sourceNode(st.cond), fsm, setup);
@@ -257,27 +421,9 @@ struct StructuralGraphBuilder {
   const RtlDesign& d;
   Graph& g;
 
-  int fuNode(int f) { return g.node("fu " + std::to_string(f), fuDisplay(d, f)); }
-
-  int sourceNode(const Source& s) {
-    switch (s.kind) {
-      case Source::Kind::Reg:
-        return g.node("launch r " + std::to_string(s.id),
-                      "r" + std::to_string(s.id));
-      case Source::Kind::Port:
-        return g.node("launch p " + std::to_string(s.id), portDisplay(d, s.id));
-      case Source::Kind::Const:
-        return g.node(fmt("launch c %lld w%d", (long long)s.imm, s.rootWidth),
-                      "#" + std::to_string((long long)s.imm));
-      case Source::Kind::Fu:
-        return fuNode(s.id);
-    }
-    return g.node("launch ?", "?");
-  }
-
   void feedMux(const MuxSpec& m, int mux) {
     for (const Source& s : m.sources)
-      g.edge(sourceNode(s), mux, d.lib.muxDelay(m.legs()));
+      g.edge(g.node(sourceKey(s)).first, mux, d.lib.muxDelay(m.legs()));
   }
 
   void build() {
@@ -285,13 +431,12 @@ struct StructuralGraphBuilder {
     for (int f = 0; f < (int)d.binding.fus.size(); ++f) {
       const FuInstance& fu = d.binding.fus[(std::size_t)f];
       const double full = d.lib.component(fu.comp).delay(fu.width);
-      const int id = fuNode(f);
+      const int id = g.node({Pin::Fu, f, 0, 0}).first;
       g.raiseInit(id, full);
       for (int p = 0; p < 3; ++p) {
         const MuxSpec& m = d.ic.fuInput[(std::size_t)f][(std::size_t)p];
         if (m.legs() == 0) continue;
-        const int mux = g.node(fmt("mux fu %d.%d", f, p),
-                               fmt("mux fu%d.in%d", f, p));
+        const int mux = g.node({Pin::MuxFu, f, p, 0}).first;
         feedMux(m, mux);
         g.edge(mux, id, full);
       }
@@ -299,29 +444,26 @@ struct StructuralGraphBuilder {
     for (int r = 0; r < (int)d.ic.regInput.size(); ++r) {
       const MuxSpec& m = d.ic.regInput[(std::size_t)r];
       if (m.legs() == 0) continue;
-      const int mux = g.node("mux r " + std::to_string(r),
-                             "mux r" + std::to_string(r));
+      const int mux = g.node({Pin::MuxReg, r, 0, 0}).first;
       feedMux(m, mux);
-      const int cap = g.node("cap r " + std::to_string(r),
-                             "r" + std::to_string(r));
+      const int cap = g.node({Pin::CapReg, r, 0, 0}).first;
       g.edge(mux, cap, setup);
       g.markEndpoint(cap);
     }
     for (int p = 0; p < (int)d.ic.outPortInput.size(); ++p) {
       const MuxSpec& m = d.ic.outPortInput[(std::size_t)p];
       if (m.legs() == 0) continue;
-      const int mux = g.node("mux p " + std::to_string(p),
-                             "mux " + portDisplay(d, p));
+      const int mux = g.node({Pin::MuxPort, p, 0, 0}).first;
       feedMux(m, mux);
-      const int cap = g.node("cap p " + std::to_string(p), portDisplay(d, p));
+      const int cap = g.node({Pin::CapPort, p, 0, 0}).first;
       g.edge(mux, cap, setup);
       g.markEndpoint(cap);
     }
-    const int fsm = g.node("cap fsm", "fsm");
+    const int fsm = g.node({Pin::CapFsm, 0, 0, 0}).first;
     g.raiseInit(fsm, setup);
     g.markEndpoint(fsm);
     for (const CtrlState& st : d.ctrl.states)
-      if (st.conditional) g.edge(sourceNode(st.cond), fsm, setup);
+      if (st.conditional) g.edge(g.node(sourceKey(st.cond)).first, fsm, setup);
   }
 };
 
@@ -345,10 +487,10 @@ std::vector<char> reachableStates(const Controller& ctrl) {
   return seen;
 }
 
-TimingPath extractPath(const Graph& g, int endpoint, const CtrlState& st,
-                       const std::string& desc, double clock) {
+TimingPath extractPath(const RtlDesign& d, const Graph& g, int endpoint,
+                       int state, const std::string& desc, double clock) {
   TimingPath p;
-  p.state = (int)st.id.get();
+  p.state = state;
   p.stateDesc = desc;
   std::vector<int> chain;
   for (int n = endpoint; n != -1; n = g.nodes[(std::size_t)n].pred)
@@ -357,7 +499,7 @@ TimingPath extractPath(const Graph& g, int endpoint, const CtrlState& st,
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const Graph::Node& n = g.nodes[(std::size_t)chain[i]];
     PathPoint pt;
-    pt.node = n.display;
+    pt.node = display(d, n.key);
     // First point: a launch arrives at its init (0 for registers/ports,
     // the final stage delay for a busy multicycle unit).
     pt.incr = i == 0 ? n.init : n.predIncr;
@@ -371,6 +513,76 @@ TimingPath extractPath(const Graph& g, int endpoint, const CtrlState& st,
   p.slack = clock - p.arrival;
   return p;
 }
+
+/// The K worst paths in report order: slack, then state id, then endpoint
+/// name, then discovery order — states in controller order, and within a
+/// state the order of the endpoints' former string keys (which can only
+/// matter for two captures with one name, i.e. duplicate port names, and
+/// then compares the port ids as decimal strings). A path is built only
+/// when it sorts before the current K-th; K < 0 keeps every path.
+class PathSelector {
+ public:
+  explicit PathSelector(int maxPaths) : k_(maxPaths) {}
+
+  /// Whether an endpoint (slack, state, discovery rank `ord`, port/reg id
+  /// `keyId`) enters the K worst so far; `name()` renders its endpoint
+  /// name, needed only on a slack and state tie with the K-th.
+  template <class Name>
+  bool admits(double slack, int state, std::size_t ord, int keyId,
+              Name&& name) const {
+    if (k_ < 0 || best_.size() < (std::size_t)k_) return true;
+    if (k_ == 0) return false;
+    const Entry& w = best_.back();
+    if (slack != w.path.slack) return slack < w.path.slack;
+    if (state != w.path.state) return state < w.path.state;
+    const std::string n = name();
+    if (n != w.path.endpoint) return n < w.path.endpoint;
+    if (ord != w.ord) return ord < w.ord;
+    return decimalLess(keyId, w.keyId);
+  }
+
+  void insert(TimingPath path, std::size_t ord, int keyId) {
+    Entry e{std::move(path), ord, keyId};
+    if (k_ < 0) {
+      best_.push_back(std::move(e));
+      return;
+    }
+    best_.insert(std::upper_bound(best_.begin(), best_.end(), e, before),
+                 std::move(e));
+    if (best_.size() > (std::size_t)k_) best_.pop_back();
+  }
+
+  std::vector<TimingPath> take() {
+    if (k_ < 0) std::sort(best_.begin(), best_.end(), before);
+    std::vector<TimingPath> out;
+    out.reserve(best_.size());
+    for (Entry& e : best_) out.push_back(std::move(e.path));
+    return out;
+  }
+
+ private:
+  struct Entry {
+    TimingPath path;
+    std::size_t ord;
+    int keyId;
+  };
+
+  static bool decimalLess(int a, int b) {
+    return std::to_string(a) < std::to_string(b);
+  }
+
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.path.slack != b.path.slack) return a.path.slack < b.path.slack;
+    if (a.path.state != b.path.state) return a.path.state < b.path.state;
+    if (a.path.endpoint != b.path.endpoint)
+      return a.path.endpoint < b.path.endpoint;
+    if (a.ord != b.ord) return a.ord < b.ord;
+    return decimalLess(a.keyId, b.keyId);
+  }
+
+  int k_;
+  std::vector<Entry> best_;
+};
 
 }  // namespace
 
@@ -399,32 +611,46 @@ StaResult runSta(const RtlDesign& design, const StaOptions& options) {
     const std::vector<char> reach = reachableStates(design.ctrl);
     for (char c : reach) r.reachableStates += (c != 0);
 
-    // Worst state-aware arrival per endpoint key, for false-path counting
-    // against the structural graph.
-    std::map<std::string, double> awareWorst;
-    std::vector<TimingPath> allPaths;
+    // Every graph numbers its nodes through one slot index, so a slot
+    // names the same pin in every state and in the structural graph.
+    SlotIndex slots(design);
+    Graph g(slots);
+    const CompletionDelays completions(design.ctrl);
+    // Worst state-aware arrival per endpoint slot (NaN: never captured),
+    // for false-path counting against the structural graph.
+    std::vector<double> awareWorst;
+    PathSelector selector(options.maxPaths);
 
     {
       obs::TraceSpan gs("sta.graph");
-      for (const CtrlState& st : design.ctrl.states) {
+      for (std::size_t si = 0; si < design.ctrl.states.size(); ++si) {
+        const CtrlState& st = design.ctrl.states[si];
         if (!reach[st.id.index()]) continue;
-        Graph g;
-        StateGraphBuilder{design, st, g}.build();
+        g.clear();
+        StateGraphBuilder{design, st, completions, g}.build();
         if (!g.relax()) r.combLoop = true;
-        const std::string desc = stateDesc(design, st);
+        const int state = (int)st.id.get();
+        std::string desc;  // rendered with the state's first kept path
         double stateWorst = 0;
-        for (const auto& [key, id] : g.index) {
+        for (const int id : g.endpoints) {
           const Graph::Node& n = g.nodes[(std::size_t)id];
-          if (!n.endpoint) continue;
           r.endpointCount += 1;
           stateWorst = std::max(stateWorst, n.arrival);
-          auto [it, inserted] = awareWorst.emplace(key, n.arrival);
-          if (!inserted) it->second = std::max(it->second, n.arrival);
+          if ((std::size_t)n.slot >= awareWorst.size())
+            awareWorst.resize((std::size_t)n.slot + 1, kNever);
+          double& aw = awareWorst[(std::size_t)n.slot];
+          aw = std::isnan(aw) ? n.arrival : std::max(aw, n.arrival);
           if (n.arrival > r.cycleTime) {
             r.cycleTime = n.arrival;
-            r.criticalState = (int)st.id.get();
+            r.criticalState = state;
           }
-          allPaths.push_back(extractPath(g, id, st, desc, r.clockNs));
+          const double slack = r.clockNs - n.arrival;
+          if (!selector.admits(slack, state, si, n.key.id,
+                               [&] { return display(design, n.key); }))
+            continue;
+          if (desc.empty()) desc = stateDesc(design, st);
+          selector.insert(extractPath(design, g, id, state, desc, r.clockNs),
+                          si, n.key.id);
         }
         r.stateArrivals.emplace_back((int)st.id.index(), stateWorst);
       }
@@ -433,28 +659,21 @@ StaResult runSta(const RtlDesign& design, const StaOptions& options) {
 
     {
       obs::TraceSpan ss("sta.structural");
-      Graph g;
+      g.clear();
       StructuralGraphBuilder{design, g}.build();
       if (!g.relax()) r.combLoop = true;
-      for (const auto& [key, id] : g.index) {
+      for (const int id : g.endpoints) {
         const Graph::Node& n = g.nodes[(std::size_t)id];
-        if (!n.endpoint) continue;
         r.structuralCycleTime = std::max(r.structuralCycleTime, n.arrival);
-        const auto it = awareWorst.find(key);
-        const double aware = it == awareWorst.end() ? -1.0 : it->second;
+        double aware = -1.0;  // no reachable state captures it
+        if ((std::size_t)n.slot < awareWorst.size() &&
+            !std::isnan(awareWorst[(std::size_t)n.slot]))
+          aware = awareWorst[(std::size_t)n.slot];
         if (n.arrival > aware + 1e-9) r.falsePathEndpoints += 1;
       }
     }
 
-    std::stable_sort(allPaths.begin(), allPaths.end(),
-                     [](const TimingPath& a, const TimingPath& b) {
-                       if (a.slack != b.slack) return a.slack < b.slack;
-                       if (a.state != b.state) return a.state < b.state;
-                       return a.endpoint < b.endpoint;
-                     });
-    if (options.maxPaths >= 0 && allPaths.size() > (std::size_t)options.maxPaths)
-      allPaths.resize((std::size_t)options.maxPaths);
-    r.paths = std::move(allPaths);
+    r.paths = selector.take();
   }
 
   auto& metrics = obs::MetricsRegistry::global();

@@ -44,7 +44,8 @@ struct StaOptions {
   /// estimated cycle time (estimateTiming), making worst slack ~0 on a
   /// consistent design.
   double clockNs = 0;
-  /// Number of worst (smallest-slack) paths to enumerate.
+  /// Number of worst (smallest-slack) paths to enumerate; < 0 keeps
+  /// every path. Only paths that can enter the K worst are built.
   int maxPaths = 5;
 };
 

@@ -226,6 +226,33 @@ TEST(LintVerilog, DetectsCombinationalLoop) {
   EXPECT_TRUE(report.has("lint.comb-loop")) << report.render();
 }
 
+TEST(LintVerilog, CombinationalLoopReportOrder) {
+  // Every loop is reported once, in discovery order: the unconditional
+  // context first, then the case arms by label; a loop an earlier arm
+  // already reported (p/q in arm C) is not repeated.
+  CheckReport report;
+  lintVerilog(fixture("lint_comb_loops_multi.v"), report);
+  std::string text;
+  for (const CheckDiag& d : report.all()) text += d.str() + "\n";
+  EXPECT_EQ(text,
+            "error [lint.comb-loop] net s: combinational cycle through s\n"
+            "error [lint.comb-loop] net u: combinational cycle through u v\n"
+            "error [lint.comb-loop] net p: combinational cycle through p q "
+            "(case arm A)\n"
+            "error [lint.comb-loop] net m: combinational cycle through m n "
+            "(case arm B)\n");
+}
+
+TEST(LintVerilog, UnclosedPortListIsAParseError) {
+  // A port list missing its ')' must not stall the parser on the ';'.
+  CheckReport report;
+  lintVerilog("module m(input wire a;\n  wire b;\nendmodule\n", report);
+  EXPECT_TRUE(report.has("lint.parse")) << report.render();
+  EXPECT_NE(report.render().find("unexpected ';' in the port list"),
+            std::string::npos)
+      << report.render();
+}
+
 TEST(LintVerilog, DetectsUndeclaredIdentifier) {
   CheckReport report;
   lintVerilog(fixture("lint_undeclared.v"), report);

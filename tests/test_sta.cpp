@@ -12,6 +12,7 @@
 #include "core/designs.h"
 #include "core/synthesizer.h"
 #include "estim/estimate.h"
+#include "fuzz/bdl_gen.h"
 #include "sta/sta.h"
 
 namespace mphls {
@@ -177,6 +178,80 @@ TEST(Sta, JsonReportDeterministicAndComplete) {
         "\"critical_state\"", "\"structural_cycle_time\"",
         "\"false_path_endpoints\"", "\"paths\"", "\"points\""})
     EXPECT_NE(text.find(key), std::string::npos) << key;
+}
+
+// ------------------------------------------------------- K-worst selection
+
+TEST(Sta, KWorstPathsArePrefixOfAll) {
+  // Bounded selection builds only the paths that can enter the K worst;
+  // the result must be exactly the first K of the unbounded, fully sorted
+  // list, and nothing else in the result may depend on K.
+  std::vector<std::pair<std::string, SynthesisResult>> cases;
+  for (const auto& d : designs::all())
+    cases.emplace_back(d.name, synth(d.source));
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::string src = fuzz::generateProgram(seed).render();
+    const std::string tag = "seed " + std::to_string(seed);
+    for (const SchedulerKind sk :
+         {SchedulerKind::List, SchedulerKind::ForceDirected}) {
+      SynthesisOptions o;
+      o.scheduler = sk;
+      o.resources = ResourceLimits::universalSet(2);
+      cases.emplace_back(tag + (sk == SchedulerKind::List ? " list" : " force"),
+                         Synthesizer(o).synthesizeSource(src));
+    }
+    cases.emplace_back(tag + " multicycle",
+                       synth(src.c_str(), 2, OpLatencyModel::multiCycle()));
+  }
+  for (const auto& [name, r] : cases) {
+    const double tight = 0.75 * r.timing.cycleTime;
+    for (const double clock : {0.0, tight}) {
+      sta::StaOptions all;
+      all.clockNs = clock;
+      all.maxPaths = -1;
+      const sta::StaResult full = sta::runSta(r.design, all);
+      for (const int k : {0, 1, 3, 5}) {
+        SCOPED_TRACE(name + " clock " + std::to_string(clock) + " K " +
+                     std::to_string(k));
+        sta::StaOptions o;
+        o.clockNs = clock;
+        o.maxPaths = k;
+        const sta::StaResult s = sta::runSta(r.design, o);
+        EXPECT_EQ(s.clockNs, full.clockNs);
+        EXPECT_EQ(s.clockWasEstimated, full.clockWasEstimated);
+        EXPECT_EQ(s.estimatedCycleTime, full.estimatedCycleTime);
+        EXPECT_EQ(s.cycleTime, full.cycleTime);
+        EXPECT_EQ(s.worstSlack, full.worstSlack);
+        EXPECT_EQ(s.criticalState, full.criticalState);
+        EXPECT_EQ(s.endpointCount, full.endpointCount);
+        EXPECT_EQ(s.totalStates, full.totalStates);
+        EXPECT_EQ(s.reachableStates, full.reachableStates);
+        EXPECT_EQ(s.structuralCycleTime, full.structuralCycleTime);
+        EXPECT_EQ(s.falsePathEndpoints, full.falsePathEndpoints);
+        EXPECT_EQ(s.combLoop, full.combLoop);
+        EXPECT_EQ(s.stateArrivals, full.stateArrivals);
+        ASSERT_EQ(s.paths.size(), std::min<std::size_t>(k, full.paths.size()));
+        for (std::size_t i = 0; i < s.paths.size(); ++i) {
+          const sta::TimingPath& a = s.paths[i];
+          const sta::TimingPath& b = full.paths[i];
+          EXPECT_EQ(a.state, b.state) << i;
+          EXPECT_EQ(a.stateDesc, b.stateDesc) << i;
+          EXPECT_EQ(a.startpoint, b.startpoint) << i;
+          EXPECT_EQ(a.endpoint, b.endpoint) << i;
+          EXPECT_EQ(a.arrival, b.arrival) << i;
+          EXPECT_EQ(a.required, b.required) << i;
+          EXPECT_EQ(a.slack, b.slack) << i;
+          ASSERT_EQ(a.points.size(), b.points.size()) << i;
+          for (std::size_t j = 0; j < a.points.size(); ++j) {
+            EXPECT_EQ(a.points[j].node, b.points[j].node) << i << "." << j;
+            EXPECT_EQ(a.points[j].incr, b.points[j].incr) << i << "." << j;
+            EXPECT_EQ(a.points[j].arrival, b.points[j].arrival)
+                << i << "." << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ timing lint
