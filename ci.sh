@@ -3,7 +3,8 @@
 #  - a warnings-clean (-Werror) build, the full ctest suite, and a static
 #    lint of the paper's square-root design;
 #  - a clique-allocation scaling guard (a 400-op design under a 10 s
-#    timeout);
+#    timeout) and a default-config scaling guard (the wall-time ratio of
+#    a 1600-op and a 400-op design);
 #  - a Release (-O3 -Werror) build of the full tree;
 #  - the perfbench smoke (perfbench/run.py --smoke): every BENCHMARK.json
 #    workload runs at a tiny size, with and without tracing, and must
@@ -45,6 +46,34 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 # fraction of a second; a return to the O(n^4) loop takes tens of seconds).
 timeout 10 ./build/src/cli/mphls synth --fu-alloc clique --reg-alloc clique \
   --quiet tests/fixtures/clique/chain400.bdl
+
+# --- Default-config scaling guard: default `mphls synth --quiet` wall time
+# on the seeded 400-op chain and on a 4x larger one (chain1600.bdl, its
+# generator command in its header), median of 3 runs each. Linear
+# synthesis gives a ratio near 4; the bound sits halfway between the ratio
+# with the quadratic pass/lifetime/FU-costing/interconnect loops (9.2) and
+# without them (4.7), both medians of 30 measurements on 4 CPUs.
+python3 - ./build/src/cli/mphls tests/fixtures/clique/chain400.bdl \
+  tests/fixtures/clique/chain1600.bdl << 'EOF'
+import statistics, subprocess, sys, time
+
+BOUND = 6.9
+mphls, small, large = sys.argv[1:4]
+
+def wall(design):
+    runs = []
+    for _ in range(3):
+        start = time.perf_counter()
+        subprocess.run([mphls, "synth", "--quiet", design], check=True)
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs)
+
+t_small, t_large = wall(small), wall(large)
+ratio = t_large / t_small
+print(f"scaling guard: 400 ops {t_small * 1e3:.1f} ms, 1600 ops "
+      f"{t_large * 1e3:.1f} ms, ratio {ratio:.2f} (bound {BOUND})")
+assert ratio <= BOUND, f"4x design takes {ratio:.2f}x the time (> {BOUND})"
+EOF
 
 # --- Release build gate: -O3 turns on optimizer-driven diagnostics that
 # RelWithDebInfo never sees (GCC 12's -Wrestrict insert-path analysis
@@ -169,9 +198,11 @@ cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 # --- Observability smoke: `mphls profile` must emit a well-formed Chrome
 # trace (balanced B/E nesting on every track, monotone timestamps), a
 # metrics JSON with full FSM state coverage on the sqrt controller, and a
-# VCD that declares wires and replays at least one FSM state change. A
-# traced `mphls lint` must be just as well-formed and show the netlist
-# emit, the netlist lint and the timing engine's spans.
+# VCD that declares wires and replays at least one FSM state change; the
+# optimizer's verify/compact spans and the ops= size of the FU and
+# interconnect allocation spans must be in the trace. A traced
+# `mphls lint` must be just as well-formed and show the netlist emit, the
+# netlist lint and the timing engine's spans.
 OBS_OUT=build/obs-smoke
 mkdir -p "$OBS_OUT"
 ./build/src/cli/mphls profile examples/sqrt.bdl \
@@ -208,8 +239,15 @@ def span_names(path):
 
 names = span_names(sys.argv[1])
 for span in ("stage.schedule", "stage.allocate", "stage.control",
-             "sim.rtl", "opt.pipeline"):
+             "sim.rtl", "opt.pipeline", "opt.verify", "opt.compact"):
     assert span in names, f"trace missing span {span}"
+# The allocation spans carry the size of their work.
+for span in ("alloc.fu", "alloc.interconnect"):
+    details = [e.get("args", {}).get("detail", "")
+               for e in json.load(open(sys.argv[1]))["traceEvents"]
+               if e["ph"] == "B" and e["name"] == span]
+    assert details and all(d.startswith("ops=") for d in details), \
+        f"{span} spans lack an ops= size: {details}"
 lint_names = span_names(sys.argv[4])
 for span in ("lint.verilog", "rtl.verilog", "sta.run", "sta.graph",
              "sta.structural"):

@@ -1,12 +1,14 @@
 #include "alloc/fu_alloc.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "alloc/clique.h"
+#include "common/bitutil.h"
+#include "common/key_map.h"
 #include "ir/deps.h"
 #include "obs/trace.h"
 
@@ -100,6 +102,7 @@ struct FuOp {
   int globalStep;
   int cycles;          ///< execution span in steps
   Source src[2];
+  int srcId[2] = {-1, -1};  ///< interned src, -1 for a chained FU output
   int numArgs;
   int destReg;  ///< register receiving the result, or -1
 };
@@ -152,55 +155,119 @@ std::vector<FuOp> collectFuOps(const Function& fn, const Schedule& sched,
   return out;
 }
 
-/// Mutable allocation state for the greedy methods.
+/// Mutable allocation state for the greedy methods. costOn is constant
+/// time and allocation-free: unit kind sets are bitmasks, the cheapest
+/// component per (kind mask, width) is memoized, busy steps are per-unit
+/// bitmaps over global steps, and operand sources are interned to ints
+/// once per op. The mux-leg questions ("does port p of unit f already
+/// carry this source?", "does unit f already feed this register?") are
+/// bit tests in unit bitsets that focus() builds once per op from the
+/// unit lists of the op's sources and destination register.
 struct GreedyState {
+  static_assert((int)OpKind::Nop < 64, "kind masks need one bit per kind");
+
+  /// cheapestForAll over a kind set at a width, with that component's area.
+  struct Cheapest {
+    CompId comp;
+    double area = 0;
+  };
+
   const HwLibrary& lib;
   std::vector<FuInstance> fus;
-  std::vector<std::set<int>> busySteps;          // per fu
-  std::vector<std::array<std::set<Source>, 2>> portSources;  // per fu
-  std::map<int, std::set<int>> regSourceFus;     // reg -> feeding fus
+  std::vector<std::uint64_t> kindMask;  ///< per fu
+  std::vector<double> area;             ///< per fu: its component's area
+  std::size_t busyWords;                ///< bitmap words per fu
+  std::vector<std::uint64_t> busy;      ///< fus x busyWords
+  /// Per source id and port: the units whose port already carries it.
+  std::vector<std::array<std::vector<std::uint32_t>, 2>> portUnits;
+  /// Per register: the units already feeding it.
+  std::vector<std::vector<std::uint32_t>> regUnits;
+  KeySet placed;  ///< (unit, port, source) and (register, unit) in the lists
+  mutable KeyMap<Cheapest> memo;
+  /// focus()'s unit bitsets: [operand a][port p] at (2a + p), the
+  /// destination register at 4; `viewWords` words each.
+  std::vector<std::uint64_t> view;
+  std::size_t viewWords = 0;
 
-  explicit GreedyState(const HwLibrary& l) : lib(l) {}
+  GreedyState(const HwLibrary& l, int horizon, int sources, int registers)
+      : lib(l),
+        busyWords(((std::size_t)std::max(horizon, 0) + 63) / 64),
+        portUnits((std::size_t)sources),
+        regUnits((std::size_t)std::max(registers, 0)) {}
+
+  static std::uint64_t bit(OpKind k) { return 1ULL << (unsigned)k; }
+
+  [[nodiscard]] Cheapest cheapest(std::uint64_t mask, int width) const {
+    static_assert(kMaxWidth < 128, "width needs at most 7 key bits");
+    const std::uint64_t key = mask << 7 | (std::uint64_t)width;
+    if (const Cheapest* hit = memo.find(key)) return *hit;
+    std::vector<OpKind> kinds;
+    for (int k = 0; k < 64; ++k)
+      if (mask >> k & 1) kinds.push_back((OpKind)k);
+    Cheapest c;
+    c.comp = lib.cheapestForAll(kinds, width);
+    if (c.comp.valid()) c.area = lib.component(c.comp).area(width);
+    return *memo.emplace(key, c).first;
+  }
 
   /// Mux-leg cost of adding one more distinct source to a port.
   [[nodiscard]] double legCost(int width) const {
     return lib.muxArea(2, width) ;  // one extra 2:1 leg
   }
 
-  /// Cost of putting `op` on existing unit `f` (swapped or not); returns
-  /// +inf when incompatible or busy.
+  [[nodiscard]] bool isBusy(std::size_t f, int step) const {
+    return busy[f * busyWords + (std::size_t)step / 64] >> (step % 64) & 1;
+  }
+
+  /// Build the unit bitsets costOn reads for `op`.
+  void focus(const FuOp& op) {
+    viewWords = (fus.size() + 63) / 64;
+    view.assign(5 * viewWords, 0);
+    auto mark = [&](int set, const std::vector<std::uint32_t>& units) {
+      for (std::uint32_t f : units)
+        view[(std::size_t)set * viewWords + f / 64] |= 1ULL << (f % 64);
+    };
+    for (int a = 0; a < op.numArgs; ++a)
+      if (op.srcId[a] >= 0)
+        for (int p = 0; p < 2; ++p)
+          mark(2 * a + p, portUnits[(std::size_t)op.srcId[a]][(std::size_t)p]);
+    if (op.destReg >= 0) mark(4, regUnits[(std::size_t)op.destReg]);
+  }
+
+  [[nodiscard]] bool inView(int set, std::size_t f) const {
+    return view[(std::size_t)set * viewWords + f / 64] >> (f % 64) & 1;
+  }
+
+  /// Cost of putting the focused `op` on existing unit `f` (swapped or
+  /// not); returns +inf when incompatible or busy.
   [[nodiscard]] double costOn(const FuOp& op, std::size_t f,
                               bool swapped) const {
-    const FuInstance& fu = fus[f];
     for (int s = op.globalStep; s < op.globalStep + op.cycles; ++s)
-      if (busySteps[f].count(s))
-        return std::numeric_limits<double>::infinity();
-    std::vector<OpKind> kinds = fu.kinds;
-    if (!fu.performs(op.kind)) kinds.push_back(op.kind);
-    int width = std::max(fu.width, op.width);
-    CompId comp = lib.cheapestForAll(kinds, width);
-    if (!comp.valid()) return std::numeric_limits<double>::infinity();
-
-    double cost =
-        lib.component(comp).area(width) - lib.component(fu.comp).area(fu.width);
+      if (isBusy(f, s)) return std::numeric_limits<double>::infinity();
+    // A unit that already covers op's kind and width keeps its component:
+    // the area term is exactly 0.
+    double cost = 0;
+    if (!(kindMask[f] & bit(op.kind)) || op.width > fus[f].width) {
+      const Cheapest c = cheapest(kindMask[f] | bit(op.kind),
+                                  std::max(fus[f].width, op.width));
+      if (!c.comp.valid()) return std::numeric_limits<double>::infinity();
+      cost = c.area - area[f];
+    }
     for (int p = 0; p < op.numArgs; ++p) {
-      const Source& s = op.src[(swapped && op.numArgs == 2) ? 1 - p : p];
-      if (s.kind == Source::Kind::Fu) continue;  // chained wire, not muxed
-      if (!portSources[f][(std::size_t)p].count(s)) cost += legCost(op.width);
+      const int a = (swapped && op.numArgs == 2) ? 1 - p : p;
+      if (op.srcId[a] < 0) continue;  // chained wire, not muxed
+      if (!inView(2 * a + p, f)) cost += legCost(op.width);
     }
-    if (op.destReg >= 0) {
-      auto it = regSourceFus.find(op.destReg);
-      if (it == regSourceFus.end() || !it->second.count((int)f))
-        cost += legCost(op.width);
-    }
+    if (op.destReg >= 0 && !inView(4, f)) cost += legCost(op.width);
     return cost;
   }
 
   [[nodiscard]] double costNew(const FuOp& op) const {
-    CompId comp = lib.cheapestFor(op.kind, op.width);
-    if (!comp.valid()) return std::numeric_limits<double>::infinity();
+    // cheapestFor(k, w) is cheapestForAll({k}, w).
+    const Cheapest c = cheapest(bit(op.kind), op.width);
+    if (!c.comp.valid()) return std::numeric_limits<double>::infinity();
     // New unit: full component area + one mux-free connection per port.
-    return lib.component(comp).area(op.width);
+    return c.area;
   }
 
   void place(const FuOp& op, int f, bool swapped) {
@@ -208,27 +275,43 @@ struct GreedyState {
       FuInstance fu;
       fu.kinds = {op.kind};
       fu.width = op.width;
-      fu.comp = lib.cheapestFor(op.kind, op.width);
+      const Cheapest c = cheapest(bit(op.kind), op.width);
+      fu.comp = c.comp;
       MPHLS_CHECK(fu.comp.valid(), "no component for " << opName(op.kind));
       fus.push_back(fu);
-      busySteps.emplace_back();
-      portSources.emplace_back();
+      kindMask.push_back(bit(op.kind));
+      area.push_back(c.area);
+      busy.resize(busy.size() + busyWords, 0);
       f = (int)fus.size() - 1;
     } else {
       FuInstance& fu = fus[(std::size_t)f];
       if (!fu.performs(op.kind)) fu.kinds.push_back(op.kind);
+      kindMask[(std::size_t)f] |= bit(op.kind);
       fu.width = std::max(fu.width, op.width);
-      fu.comp = lib.cheapestForAll(fu.kinds, fu.width);
+      const Cheapest c = cheapest(kindMask[(std::size_t)f], fu.width);
+      fu.comp = c.comp;
       MPHLS_CHECK(fu.comp.valid(), "no component covers unit kinds");
+      area[(std::size_t)f] = c.area;
     }
     for (int s = op.globalStep; s < op.globalStep + op.cycles; ++s)
-      busySteps[(std::size_t)f].insert(s);
+      busy[(std::size_t)f * busyWords + (std::size_t)s / 64] |=
+          1ULL << (s % 64);
+    const auto unit = (std::uint32_t)f;
     for (int p = 0; p < op.numArgs; ++p) {
-      const Source& s = op.src[(swapped && op.numArgs == 2) ? 1 - p : p];
-      if (s.kind != Source::Kind::Fu)
-        portSources[(std::size_t)f][(std::size_t)p].insert(s);
+      const int src = op.srcId[(swapped && op.numArgs == 2) ? 1 - p : p];
+      if (src >= 0 &&
+          placed.emplace((std::uint64_t)unit << 34 | (std::uint64_t)p << 32 |
+                             (std::uint32_t)src, 1)
+              .second)
+        portUnits[(std::size_t)src][(std::size_t)p].push_back(unit);
     }
-    if (op.destReg >= 0) regSourceFus[op.destReg].insert(f);
+    // Register keys carry bit 33 set, which no (unit, port 0/1, source)
+    // key has, so both kinds share one set.
+    if (op.destReg >= 0 &&
+        placed.emplace((std::uint64_t)unit << 34 | 1ULL << 33 |
+                           (std::uint32_t)op.destReg, 1)
+            .second)
+      regUnits[(std::size_t)op.destReg].push_back(unit);
   }
 };
 
@@ -256,13 +339,22 @@ FuBinding greedy(const Function& fn, const Schedule& sched,
                  const HwLibrary& lib, FuAllocMethod method,
                  const OpLatencyModel& latencies) {
   auto ops = collectFuOps(fn, sched, lt, regs, latencies);
-  GreedyState st(lib);
+  SourceIds ids;
+  int horizon = 0;
+  for (FuOp& op : ops) {
+    for (int p = 0; p < op.numArgs; ++p)
+      op.srcId[p] =
+          op.src[p].kind == Source::Kind::Fu ? -1 : ids.of(op.src[p]);
+    horizon = std::max(horizon, op.globalStep + op.cycles);
+  }
+  GreedyState st(lib, horizon, ids.size(), regs.numRegs);
   std::vector<int> fuOf(ops.size(), -1);
   std::vector<bool> swapped(ops.size(), false);
 
   auto bestPlacement = [&](std::size_t k, double& bestCost, int& bestFu,
                            bool& bestSwap) {
     const FuOp& op = ops[k];
+    st.focus(op);
     bestCost = st.costNew(op);
     bestFu = -1;
     bestSwap = false;
@@ -310,6 +402,7 @@ FuBinding greedy(const Function& fn, const Schedule& sched,
       bool sw = false;
       if (method == FuAllocMethod::InterconnectBlind) {
         // First idle compatible unit, no cost comparison.
+        st.focus(op);
         for (std::size_t f = 0; f < st.fus.size(); ++f) {
           if (st.costOn(op, f, false) <
               std::numeric_limits<double>::infinity()) {

@@ -1,9 +1,9 @@
 #include "alloc/interconnect.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
+#include "common/key_map.h"
 #include "ir/deps.h"
 
 namespace mphls {
@@ -21,24 +21,20 @@ void addSource(MuxSpec& mux, const Source& s, int width) {
   if (mux.indexOf(s) < 0) mux.sources.push_back(s);
 }
 
-/// Resolve a Fu source with unresolved id (-1): find the producing op in
-/// the block and substitute its bound unit index.
+/// Resolve a Fu source with unresolved id (-1): look up the producing
+/// op's index in the block (`posOfOp`, by op id, -1 outside the block) and
+/// substitute its bound unit index.
 Source resolveFuSource(const Function& fn, const FuBinding& binding,
-                       BlockId block, Source s) {
+                       BlockId block, const std::vector<int>& posOfOp,
+                       Source s) {
   if (!(s.kind == Source::Kind::Fu && s.id < 0)) return s;
   ValueId root((std::uint32_t)s.imm);
-  const Op& def = fn.defOf(root);
-  const Block& blk = fn.block(block);
-  for (std::size_t i = 0; i < blk.ops.size(); ++i) {
-    if (blk.ops[i] == def.id) {
-      int f = binding.fuOfOp[block.index()][i];
-      MPHLS_CHECK(f >= 0, "value chained to unbound op");
-      s.id = f;
-      s.imm = 0;
-      return s;
-    }
-  }
-  MPHLS_CHECK(false, "chained producer not found in block");
+  const int i = posOfOp[fn.defOf(root).id.index()];
+  MPHLS_CHECK(i >= 0, "chained producer not found in block");
+  int f = binding.fuOfOp[block.index()][(std::size_t)i];
+  MPHLS_CHECK(f >= 0, "value chained to unbound op");
+  s.id = f;
+  s.imm = 0;
   return s;
 }
 
@@ -48,7 +44,8 @@ Source resolveFuSource(const Function& fn, const FuBinding& binding,
 /// lives in its temporary register and the sink reads that instead.
 Source sinkSource(const Function& fn, const LifetimeInfo& lt,
                   const RegAssignment& regs, const FuBinding& binding,
-                  const Block& blk, const BlockSchedule& bs, int sinkStep,
+                  const Block& blk, const BlockSchedule& bs,
+                  const std::vector<int>& posOfOp, int sinkStep,
                   ValueId stored, const OpLatencyModel& latencies) {
   Source s = buildSource(fn, lt, regs, stored);
   ValueId root = rootValue(fn, stored);
@@ -56,25 +53,23 @@ Source sinkSource(const Function& fn, const LifetimeInfo& lt,
   if (!kindFlowsFree(rdef.kind)) {
     // FU-produced root: find its op in this block and compare the sink's
     // step with the producer's completion step.
-    for (std::size_t i = 0; i < blk.ops.size(); ++i) {
-      if (blk.ops[i] != rdef.id) continue;
-      if (bs.step[i] + latencies.of(rdef.kind) - 1 == sinkStep) {
-        int f = binding.fuOfOp[blk.id.index()][i];
-        MPHLS_CHECK(f >= 0, "same-step sink producer unbound");
-        Source fu = s;
-        fu.kind = Source::Kind::Fu;
-        fu.id = f;
-        fu.imm = 0;
-        return fu;
-      }
-      // Producer ran earlier: the value must be registered.
-      MPHLS_CHECK(s.kind == Source::Kind::Reg,
-                  "cross-step sink source not registered");
-      return s;
+    const int i = posOfOp[rdef.id.index()];
+    MPHLS_CHECK(i >= 0, "sink producer not found in block");
+    if (bs.step[(std::size_t)i] + latencies.of(rdef.kind) - 1 == sinkStep) {
+      int f = binding.fuOfOp[blk.id.index()][(std::size_t)i];
+      MPHLS_CHECK(f >= 0, "same-step sink producer unbound");
+      Source fu = s;
+      fu.kind = Source::Kind::Fu;
+      fu.id = f;
+      fu.imm = 0;
+      return fu;
     }
-    MPHLS_CHECK(false, "sink producer not found in block");
+    // Producer ran earlier: the value must be registered.
+    MPHLS_CHECK(s.kind == Source::Kind::Reg,
+                "cross-step sink source not registered");
+    return s;
   }
-  return resolveFuSource(fn, binding, blk.id, s);
+  return resolveFuSource(fn, binding, blk.id, posOfOp, s);
 }
 
 }  // namespace
@@ -91,10 +86,13 @@ InterconnectResult buildInterconnect(const Function& fn, const Schedule& sched,
   ic.outPortInput.resize(fn.ports().size());
   ic.opWiring.resize(fn.numBlocks());
 
+  std::vector<int> posOfOp(fn.numOps(), -1);
   for (const auto& blk : fn.blocks()) {
     const BlockSchedule& bs = sched.of(blk.id);
     const int base = lt.blockBase[blk.id.index()];
     ic.opWiring[blk.id.index()].resize(blk.ops.size());
+    for (std::size_t i = 0; i < blk.ops.size(); ++i)
+      posOfOp[blk.ops[i].index()] = (int)i;
 
     for (std::size_t i = 0; i < blk.ops.size(); ++i) {
       const Op& o = fn.op(blk.ops[i]);
@@ -158,16 +156,16 @@ InterconnectResult buildInterconnect(const Function& fn, const Schedule& sched,
         int item = lt.itemOfVar[o.var.index()];
         if (item < 0) continue;  // dead store to never-loaded var
         int r = regs.regOfItem[(std::size_t)item];
-        Source s = sinkSource(fn, lt, regs, binding, blk, bs, bs.step[i],
-                              o.args[0], latencies);
+        Source s = sinkSource(fn, lt, regs, binding, blk, bs, posOfOp,
+                              bs.step[i], o.args[0], latencies);
         int w = fn.var(o.var).width;
         addSource(ic.regInput[(std::size_t)r], s, w);
         ow.destReg = r;
         ow.destRegMuxSel = ic.regInput[(std::size_t)r].indexOf(s);
         ic.transfers.push_back({s, Transfer::DestKind::Reg, r, 0, gstep, w});
       } else if (o.kind == OpKind::WritePort) {
-        Source s = sinkSource(fn, lt, regs, binding, blk, bs, bs.step[i],
-                              o.args[0], latencies);
+        Source s = sinkSource(fn, lt, regs, binding, blk, bs, posOfOp,
+                              bs.step[i], o.args[0], latencies);
         int w = fn.port(o.port).width;
         addSource(ic.outPortInput[o.port.index()], s, w);
         ow.destPort = (int)o.port.get();
@@ -176,6 +174,7 @@ InterconnectResult buildInterconnect(const Function& fn, const Schedule& sched,
                                 (int)o.port.get(), 0, gstep, w});
       }
     }
+    for (OpId oid : blk.ops) posOfOp[oid.index()] = -1;
   }
 
   // Mux-based cost.
@@ -192,48 +191,78 @@ InterconnectResult buildInterconnect(const Function& fn, const Schedule& sched,
 
   // Bus-based alternative: greedy coloring of the transfer conflict graph.
   // Conflict: same step, different source (a bus carries one value per
-  // step; identical sources may broadcast).
+  // step; identical sources may broadcast). First fit: the lowest bus not
+  // carrying a different source at the transfer's step, found from the
+  // (bus, source) pairs already placed at that step.
   const std::size_t nt = ic.transfers.size();
   ic.busOfTransfer.assign(nt, -1);
-  std::vector<std::vector<std::size_t>> busMembers;
+  SourceIds ids;
+  std::vector<int> srcOf(nt);
+  int lastStep = 0;
   for (std::size_t t = 0; t < nt; ++t) {
-    int chosen = -1;
-    for (std::size_t b = 0; b < busMembers.size() && chosen < 0; ++b) {
-      bool ok = true;
-      for (std::size_t m : busMembers[b]) {
-        if (ic.transfers[m].step == ic.transfers[t].step &&
-            !(ic.transfers[m].src == ic.transfers[t].src)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) chosen = (int)b;
+    srcOf[t] = ids.of(ic.transfers[t].src);
+    lastStep = std::max(lastStep, ic.transfers[t].step);
+  }
+  std::vector<std::vector<std::pair<int, int>>> onStep(
+      (std::size_t)lastStep + 1);  // step -> (bus, source) placed there
+  std::vector<int> taken;
+  for (std::size_t t = 0; t < nt; ++t) {
+    auto& here = onStep[(std::size_t)ic.transfers[t].step];
+    taken.clear();
+    for (const auto& [bus, src] : here)
+      if (src != srcOf[t]) taken.push_back(bus);
+    std::sort(taken.begin(), taken.end());
+    int chosen = 0;
+    for (int b : taken) {
+      if (b > chosen) break;
+      if (b == chosen) ++chosen;
     }
-    if (chosen < 0) {
-      chosen = (int)busMembers.size();
-      busMembers.emplace_back();
-    }
-    busMembers[(std::size_t)chosen].push_back(t);
+    ic.numBuses = std::max(ic.numBuses, chosen + 1);
+    here.emplace_back(chosen, srcOf[t]);
     ic.busOfTransfer[t] = chosen;
   }
-  ic.numBuses = (int)busMembers.size();
-  for (const auto& members : busMembers) {
-    std::vector<Source> srcs;
-    int width = 0;
-    for (std::size_t m : members) {
-      width = std::max(width, ic.transfers[m].width);
-      if (std::find(srcs.begin(), srcs.end(), ic.transfers[m].src) ==
-          srcs.end())
-        srcs.push_back(ic.transfers[m].src);
-    }
-    ic.busArea += lib.busArea((int)srcs.size(), width);
+  // Per bus: distinct sources and widest transfer.
+  std::vector<int> busSources((std::size_t)ic.numBuses, 0);
+  std::vector<int> busWidth((std::size_t)ic.numBuses, 0);
+  KeySet seen;
+  for (std::size_t t = 0; t < nt; ++t) {
+    const auto b = (std::size_t)ic.busOfTransfer[t];
+    busWidth[b] = std::max(busWidth[b], ic.transfers[t].width);
+    if (seen.emplace((std::uint64_t)b << 32 | (std::uint32_t)srcOf[t], 1)
+            .second)
+      ++busSources[b];
   }
+  for (std::size_t b = 0; b < busSources.size(); ++b)
+    ic.busArea += lib.busArea(busSources[b], busWidth[b]);
   return ic;
 }
 
 std::string validateInterconnect(const InterconnectResult& ic) {
   std::ostringstream err;
-  for (std::size_t i = 0; i < ic.transfers.size(); ++i) {
+  // conflictLater[i]: some later transfer on i's bus at i's step carries a
+  // different source. Found in one backward sweep that keeps, per
+  // (bus, step), the source seen there and whether a second one was.
+  const std::size_t n = ic.transfers.size();
+  std::vector<char> conflictLater(n, 0);
+  {
+    SourceIds ids;
+    struct Seen {
+      int src;
+      bool mixed;
+    };
+    KeyMap<Seen> later;
+    for (std::size_t i = n; i-- > 0;) {
+      const int src = ids.of(ic.transfers[i].src);
+      const std::uint64_t key =
+          (std::uint64_t)(std::uint32_t)ic.busOfTransfer[i] << 32 |
+          (std::uint32_t)ic.transfers[i].step;
+      auto [seen, fresh] = later.emplace(key, Seen{src, false});
+      if (fresh) continue;
+      conflictLater[i] = seen->mixed || seen->src != src;
+      if (seen->src != src) seen->mixed = true;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
     const Transfer& t = ic.transfers[i];
     const MuxSpec* mux = nullptr;
     switch (t.destKind) {
@@ -257,14 +286,10 @@ std::string validateInterconnect(const InterconnectResult& ic) {
       err << "transfer " << i << " has no bus";
       return err.str();
     }
-    for (std::size_t j = i + 1; j < ic.transfers.size(); ++j) {
-      if (ic.busOfTransfer[i] == ic.busOfTransfer[j] &&
-          ic.transfers[j].step == t.step &&
-          !(ic.transfers[j].src == t.src)) {
-        err << "bus " << ic.busOfTransfer[i]
-            << " carries two values at step " << t.step;
-        return err.str();
-      }
+    if (conflictLater[i]) {
+      err << "bus " << ic.busOfTransfer[i]
+          << " carries two values at step " << t.step;
+      return err.str();
     }
   }
   return {};

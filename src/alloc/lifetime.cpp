@@ -1,7 +1,6 @@
 #include "alloc/lifetime.h"
 
 #include <algorithm>
-#include <map>
 
 #include "ir/analysis.h"
 #include "ir/deps.h"
@@ -41,71 +40,113 @@ LifetimeInfo computeLifetimes(const Function& fn, const Schedule& sched,
   }
   info.totalSteps = base;
 
-  // ---- temporaries -------------------------------------------------------
+  // One walk over every op of every block collects both item families.
+  // Temporaries: per-value scratch arrays shared by all blocks (the
+  // defining op's position, and the root's latch and last-use steps), reset
+  // through the block's own ops; a block's roots are emitted in ascending
+  // value id. Variables: lo/hi accumulated per variable, emitted in
+  // variable order after the walk.
+  const VarLiveness lv = computeVarLiveness(fn);
+  const std::size_t nvars = fn.vars().size();
+  std::vector<int> varLo(nvars, INT32_MAX), varHi(nvars, INT32_MIN);
+  std::vector<char> varStored(nvars, 0);
+  auto touchVar = [&](VarId v, int lo, int hi) {
+    varLo[v.index()] = std::min(varLo[v.index()], lo);
+    varHi[v.index()] = std::max(varHi[v.index()], hi);
+  };
+
+  std::vector<int> defIndexOfValue(fn.numValues(), -1);
+  std::vector<int> rootDefStep(fn.numValues(), 0);
+  std::vector<int> rootLastUse(fn.numValues(), -1);
+  std::vector<char> isRoot(fn.numValues(), 0);
+  std::vector<std::uint32_t> roots;
+  // Const and port reads are wiring; variable loads use the variable's own
+  // register. Anything else is a temporary root.
+  auto isWiring = [](const Op& rdef) {
+    return rdef.kind == OpKind::Const || rdef.kind == OpKind::ReadPort ||
+           rdef.kind == OpKind::LoadVar;
+  };
+  auto touchRoot = [&](ValueId r) {
+    if (!isRoot[r.index()]) {
+      isRoot[r.index()] = 1;
+      roots.push_back(r.get());
+    }
+  };
+
   for (const auto& blk : fn.blocks()) {
     const BlockSchedule& bs = sched.of(blk.id);
-    const int blockBase = info.blockBase[blk.id.index()];
+    const int bb = info.blockBase[blk.id.index()];
+    const std::size_t bi = blk.id.index();
 
-    // Step of each op in this block (by op index).
-    // Def step and last-use step per root value.
-    std::vector<int> opStep(blk.ops.size());
-    for (std::size_t i = 0; i < blk.ops.size(); ++i) opStep[i] = bs.step[i];
-
-    // Map value -> defining op index within the block.
-    std::vector<int> defIndexOfValue(fn.numValues(), -1);
     for (std::size_t i = 0; i < blk.ops.size(); ++i) {
       const Op& o = fn.op(blk.ops[i]);
       if (o.result.valid()) defIndexOfValue[o.result.index()] = (int)i;
     }
-
-    struct RootUse {
-      int defStep = 0;
-      int lastUse = -1;
-    };
-    std::map<std::uint32_t, RootUse> roots;
+    for (const auto& var : fn.vars()) {
+      if (lv.liveIn[bi][var.id.index()]) touchVar(var.id, bb, bb + 1);
+      // Live out: conservatively written somewhere within the block.
+      if (lv.liveOut[bi][var.id.index()])
+        touchVar(var.id, bb, bb + std::max(bs.numSteps, 1));
+    }
 
     for (std::size_t i = 0; i < blk.ops.size(); ++i) {
       const Op& o = fn.op(blk.ops[i]);
+      const int step = bs.step[i];
+      if (o.kind == OpKind::StoreVar) {
+        varStored[o.var.index()] = 1;
+        touchVar(o.var, bb + step, bb + step + 1);
+      } else if (o.kind == OpKind::LoadVar) {
+        touchVar(o.var, bb + step, bb + step + 1);
+      }
       for (ValueId a : o.args) {
         ValueId r = rootValue(fn, a);
         const Op& rdef = fn.defOf(r);
-        // Const and port reads are wiring; variable loads use the
-        // variable's own register.
-        if (rdef.kind == OpKind::Const || rdef.kind == OpKind::ReadPort ||
-            rdef.kind == OpKind::LoadVar)
-          continue;
+        // Loads are transparent wiring: the variable's register is actually
+        // read when a *consumer* of a load-rooted value executes, which may
+        // be later than the load's own position. Extend the lifetime to
+        // every such consumer.
+        if (rdef.kind == OpKind::LoadVar)
+          touchVar(rdef.var, bb + step, bb + step + 1);
+        if (isWiring(rdef)) continue;
         int defIdx = defIndexOfValue[r.index()];
         MPHLS_CHECK(defIdx >= 0, "root value not defined in block");
-        auto& ru = roots[r.get()];
+        touchRoot(r);
         // The value is latched at the producer's completion step.
-        ru.defStep = opStep[static_cast<std::size_t>(defIdx)] +
-                     latencies.of(fn.defOf(r).kind) - 1;
-        ru.lastUse = std::max(ru.lastUse, opStep[i]);
+        rootDefStep[r.index()] =
+            bs.step[(std::size_t)defIdx] + latencies.of(rdef.kind) - 1;
+        rootLastUse[r.index()] = std::max(rootLastUse[r.index()], step);
       }
     }
     if (blk.term.kind == Terminator::Kind::Branch) {
       ValueId r = rootValue(fn, blk.term.cond);
       const Op& rdef = fn.defOf(r);
-      if (rdef.kind != OpKind::Const && rdef.kind != OpKind::ReadPort &&
-          rdef.kind != OpKind::LoadVar) {
+      // The condition is consumed in the block's final step.
+      if (rdef.kind == OpKind::LoadVar)
+        touchVar(rdef.var, bb, bb + std::max(bs.numSteps, 1));
+      if (!isWiring(rdef)) {
         int defIdx = defIndexOfValue[r.index()];
         MPHLS_CHECK(defIdx >= 0, "branch cond root not in block");
-        auto& ru = roots[r.get()];
-        ru.defStep = opStep[static_cast<std::size_t>(defIdx)] +
-                     latencies.of(rdef.kind) - 1;
-        // The condition is consumed in the block's final step.
-        ru.lastUse = std::max(ru.lastUse,
-                              std::max(bs.numSteps - 1, ru.defStep));
+        touchRoot(r);
+        const int defStep =
+            bs.step[(std::size_t)defIdx] + latencies.of(rdef.kind) - 1;
+        rootDefStep[r.index()] = defStep;
+        rootLastUse[r.index()] = std::max(
+            rootLastUse[r.index()], std::max(bs.numSteps - 1, defStep));
       }
     }
 
-    for (const auto& [vid, ru] : roots) {
-      if (ru.lastUse <= ru.defStep) continue;  // same-step: combinational
+    std::sort(roots.begin(), roots.end());
+    for (std::uint32_t vid : roots) {
+      const int defStep = rootDefStep[vid];
+      const int lastUse = rootLastUse[vid];
+      isRoot[vid] = 0;
+      rootLastUse[vid] = -1;
+      if (lastUse <= defStep) continue;  // same-step: combinational
       StorageItem item;
       item.kind = StorageItem::Kind::Temp;
       item.value = ValueId(vid);
       item.width = fn.value(ValueId(vid)).width;
-      item.live = {blockBase + ru.defStep, blockBase + ru.lastUse};
+      item.live = {bb + defStep, bb + lastUse};
       // Sequential append: GCC 12's -Wrestrict misfires on the temporary
       // chain `"t" + std::to_string(...)` at -O3 (same story as obs/vcd.cpp).
       item.name = "t";
@@ -113,59 +154,16 @@ LifetimeInfo computeLifetimes(const Function& fn, const Schedule& sched,
       info.itemOfValue[item.value.index()] = (int)info.items.size();
       info.items.push_back(std::move(item));
     }
+    roots.clear();
+    for (OpId oid : blk.ops) {
+      const ValueId r = fn.op(oid).result;
+      if (r.valid()) defIndexOfValue[r.index()] = -1;
+    }
   }
 
-  // ---- variables ----------------------------------------------------------
-  VarLiveness lv = computeVarLiveness(fn);
   for (const auto& var : fn.vars()) {
-    int lo = INT32_MAX, hi = INT32_MIN;
-    bool stored = false;
-    for (const auto& blk : fn.blocks()) {
-      const int bb = info.blockBase[blk.id.index()];
-      const BlockSchedule& bs = sched.of(blk.id);
-      if (lv.liveIn[blk.id.index()][var.id.index()]) {
-        lo = std::min(lo, bb);
-        hi = std::max(hi, bb + 1);
-      }
-      if (lv.liveOut[blk.id.index()][var.id.index()]) {
-        lo = std::min(lo, bb);  // conservative: written somewhere within
-        hi = std::max(hi, bb + std::max(bs.numSteps, 1));
-      }
-      for (std::size_t i = 0; i < blk.ops.size(); ++i) {
-        const Op& o = fn.op(blk.ops[i]);
-        if (o.kind == OpKind::StoreVar && o.var == var.id) {
-          stored = true;
-          lo = std::min(lo, bb + bs.step[i]);
-          hi = std::max(hi, bb + bs.step[i] + 1);
-        } else if (o.kind == OpKind::LoadVar && o.var == var.id) {
-          lo = std::min(lo, bb + bs.step[i]);
-          hi = std::max(hi, bb + bs.step[i] + 1);
-        }
-        // Loads are transparent wiring: the variable's register is actually
-        // read when a *consumer* of a load-rooted value executes, which may
-        // be later than the load's own position. Extend the lifetime to
-        // every such consumer.
-        for (ValueId a : o.args) {
-          ValueId r = rootValue(fn, a);
-          const Op& rdef = fn.defOf(r);
-          if (rdef.kind == OpKind::LoadVar && rdef.var == var.id) {
-            lo = std::min(lo, bb + bs.step[i]);
-            hi = std::max(hi, bb + bs.step[i] + 1);
-          }
-        }
-      }
-      // A branch condition rooted at a load of this variable is consumed
-      // in the block's final step.
-      if (blk.term.kind == Terminator::Kind::Branch) {
-        ValueId r = rootValue(fn, blk.term.cond);
-        const Op& rdef = fn.defOf(r);
-        if (rdef.kind == OpKind::LoadVar && rdef.var == var.id) {
-          lo = std::min(lo, bb);
-          hi = std::max(hi, bb + std::max(bs.numSteps, 1));
-        }
-      }
-    }
-    if (!stored || lo >= hi) continue;  // never written: no register
+    const int lo = varLo[var.id.index()], hi = varHi[var.id.index()];
+    if (!varStored[var.id.index()] || lo >= hi) continue;  // no register
     StorageItem item;
     item.kind = StorageItem::Kind::Variable;
     item.var = var.id;

@@ -108,10 +108,54 @@ RegAssignment allocateRegisters(const LifetimeInfo& lt,
   return out;
 }
 
+namespace {
+
+/// True when no item violates the assignment, in O(n log n): every
+/// non-empty item has a register wide enough, and per register the items
+/// sorted by birth never start before an earlier one dies. An empty item
+/// that holds a register can still "overlap" under LiveInterval::overlaps,
+/// so its presence sends the caller to the exact scan.
+bool assignmentHolds(const LifetimeInfo& lt, const RegAssignment& regs) {
+  std::vector<std::pair<int, LiveInterval>> held;  // (register, interval)
+  for (std::size_t i = 0; i < lt.items.size(); ++i) {
+    const int r = regs.regOfItem[i];
+    const bool hasReg = r >= 0 && r < regs.numRegs;
+    if (lt.items[i].live.empty()) {
+      if (hasReg) return false;
+      continue;
+    }
+    if (!hasReg || (std::size_t)r >= regs.regWidth.size() ||
+        regs.regWidth[(std::size_t)r] < lt.items[i].width)
+      return false;
+    held.emplace_back(r, lt.items[i].live);
+  }
+  std::sort(held.begin(), held.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : a.second.birth < b.second.birth;
+  });
+  // Sorted by birth, so an item overlaps an earlier one of its register
+  // exactly when it is born before the latest death seen so far.
+  int lastDeath = 0;
+  for (std::size_t k = 0; k < held.size(); ++k) {
+    if (k > 0 && held[k].first == held[k - 1].first &&
+        held[k].second.birth < lastDeath)
+      return false;
+    if (k == 0 || held[k].first != held[k - 1].first)
+      lastDeath = held[k].second.death;
+    else
+      lastDeath = std::max(lastDeath, held[k].second.death);
+  }
+  return true;
+}
+
+}  // namespace
+
 std::string validateRegAssignment(const LifetimeInfo& lt,
                                   const RegAssignment& regs) {
   std::ostringstream err;
   if (regs.regOfItem.size() != lt.items.size()) return "item count mismatch";
+  if (assignmentHolds(lt, regs)) return {};
+  // Some item violates the assignment: name the first one in item order.
   for (std::size_t i = 0; i < lt.items.size(); ++i) {
     if (lt.items[i].live.empty()) continue;
     if (regs.regOfItem[i] < 0 || regs.regOfItem[i] >= regs.numRegs) {

@@ -27,6 +27,15 @@
 
 namespace mphls {
 
+namespace {
+
+/// Size argument of the allocation spans (built only while tracing).
+std::string opsArg(const Function& fn) {
+  return "ops=" + std::to_string(fn.numLiveOps());
+}
+
+}  // namespace
+
 long SynthesisResult::latencyFor(
     const std::map<std::string, std::uint64_t>& inputs) const {
   Interpreter interp(design.fn);
@@ -143,7 +152,7 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
       MPHLS_CHECK(msg.empty(), "invalid register allocation: " << msg);
     }
     {
-      obs::TraceSpan sub("alloc.fu");
+      obs::TraceSpan sub("alloc.fu", [&] { return opsArg(fn); });
       binding = allocateFus(fn, sched, lt, regs, lib,
                             options_.fuMethod, options_.latencies);
       std::string msg =
@@ -151,7 +160,7 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
       MPHLS_CHECK(msg.empty(), "invalid FU binding: " << msg);
     }
     {
-      obs::TraceSpan sub("alloc.interconnect");
+      obs::TraceSpan sub("alloc.interconnect", [&] { return opsArg(fn); });
       ic = buildInterconnect(fn, sched, lt, regs, binding, lib,
                              options_.latencies);
       std::string msg = validateInterconnect(ic);

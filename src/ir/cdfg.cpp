@@ -182,6 +182,20 @@ void Function::removeOp(OpId id) {
   }
 }
 
+void Function::removeOps(BlockId block, const std::vector<OpId>& ids) {
+  if (ids.empty()) return;
+  std::vector<OpId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  for (OpId id : sorted) op(id).dead = true;
+  auto& list = this->block(block).ops;
+  list.erase(std::remove_if(list.begin(), list.end(),
+                            [&](OpId id) {
+                              return std::binary_search(sorted.begin(),
+                                                        sorted.end(), id);
+                            }),
+             list.end());
+}
+
 void Function::replaceAllUses(ValueId from, ValueId to) {
   for (auto& o : ops_) {
     if (o.dead) continue;

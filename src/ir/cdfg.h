@@ -169,10 +169,17 @@ class Function {
   [[nodiscard]] const Op& defOf(ValueId v) const { return op(value(v).def); }
 
   // --- mutation by passes ---------------------------------------------------
-  /// Mark an op dead and detach it from its block.
+  /// Mark an op dead and detach it from its block. Searches the blocks: for
+  /// one-off callers; a pass detaches its ops with removeOps.
   void removeOp(OpId id);
 
-  /// Replace every use of value `from` with `to` (all blocks).
+  /// Mark every op in `ids` dead and detach them from `block` in one sweep
+  /// that keeps the order of the remaining ops. Same result as calling
+  /// removeOp on each id when every id is attached to `block`.
+  void removeOps(BlockId block, const std::vector<OpId>& ids);
+
+  /// Replace every use of value `from` with `to` (all blocks). Scans every
+  /// op: for one-off callers; a pass rewrites through UseIndex (opt/pass.h).
   void replaceAllUses(ValueId from, ValueId to);
 
   /// Drop dead ops and unused values, renumbering all ids. Invalidates any

@@ -1,7 +1,7 @@
 #include "ir/verify.h"
 
 #include <sstream>
-#include <unordered_set>
+#include <vector>
 
 #include "common/bitutil.h"
 
@@ -11,22 +11,25 @@ namespace {
 
 std::string check(const Function& fn) {
   std::ostringstream err;
-  std::unordered_set<std::uint32_t> attachedOps;
+  // Dense flags by op / value id. `defined` describes the current block
+  // only: it is cleared through the block's own results after each block.
+  std::vector<char> attachedOps(fn.numOps(), 0);
+  std::vector<char> defined(fn.numValues(), 0);
 
   if (!fn.entry().valid()) return "function has no entry block";
   if (fn.entry().index() >= fn.numBlocks()) return "entry block out of range";
 
   for (const auto& blk : fn.blocks()) {
-    std::unordered_set<std::uint32_t> defined;
     for (OpId oid : blk.ops) {
       if (oid.index() >= fn.numOps()) {
         err << "block " << blk.name << " references op out of range";
         return err.str();
       }
-      if (!attachedOps.insert(oid.get()).second) {
+      if (attachedOps[oid.index()]) {
         err << "op " << oid << " attached to more than one block";
         return err.str();
       }
+      attachedOps[oid.index()] = 1;
       const Op& o = fn.op(oid);
       if (o.dead) {
         err << "dead op " << oid << " still attached to block " << blk.name;
@@ -49,7 +52,7 @@ std::string check(const Function& fn) {
               << " produced by deleted op " << av.def;
           return err.str();
         }
-        if (!defined.count(a.get())) {
+        if (!defined[a.index()]) {
           err << "op " << oid << " in block " << blk.name
               << " uses value v" << a.get()
               << " not defined earlier in the block";
@@ -70,7 +73,7 @@ std::string check(const Function& fn) {
           err << "value v" << o.result.get() << " has bad width " << v.width;
           return err.str();
         }
-        defined.insert(o.result.get());
+        defined[o.result.index()] = 1;
       } else if (o.result.valid()) {
         err << "sink op " << oid << " has a result";
         return err.str();
@@ -122,7 +125,8 @@ std::string check(const Function& fn) {
           err << "block " << blk.name << " branches out of range";
           return err.str();
         }
-        if (!t.cond.valid() || !defined.count(t.cond.get())) {
+        if (!t.cond.valid() || t.cond.index() >= fn.numValues() ||
+            !defined[t.cond.index()]) {
           err << "block " << blk.name
               << " branch condition not defined in block";
           return err.str();
@@ -134,6 +138,10 @@ std::string check(const Function& fn) {
         break;
       }
     }
+    for (OpId oid : blk.ops) {
+      const ValueId r = fn.op(oid).result;
+      if (r.valid() && r.index() < defined.size()) defined[r.index()] = 0;
+    }
   }
 
   // Every live op must belong to exactly one block: a pass that detaches an
@@ -142,7 +150,7 @@ std::string check(const Function& fn) {
   for (std::size_t i = 0; i < fn.numOps(); ++i) {
     OpId oid{i};
     const Op& o = fn.op(oid);
-    if (!o.dead && !attachedOps.count(oid.get())) {
+    if (!o.dead && !attachedOps[oid.index()]) {
       err << "live op " << oid << " (" << opName(o.kind)
           << ") is not attached to any block";
       return err.str();

@@ -14,30 +14,21 @@ namespace mphls {
 
 namespace {
 
-class AlgebraicPass final : public Pass {
+bool isZero(const Function& fn, ValueId v) {
+  const Op& def = fn.defOf(v);
+  if (def.kind != OpKind::Const) return false;
+  int w = fn.value(v).width;
+  std::uint64_t raw = static_cast<std::uint64_t>(def.imm);
+  return (w == 64 ? raw : (raw & ((1ULL << w) - 1))) == 0;
+}
+
+/// One run's rewriting state: the use index, the store guard, and the ops
+/// of the current block that became copies and await detaching.
+class Rewriter {
  public:
-  [[nodiscard]] std::string_view name() const override { return "algebraic"; }
+  explicit Rewriter(Function& fn) : fn(fn), uses(fn), guard(fn) {}
 
-  int run(Function& fn) override {
-    int changes = 0;
-    for (const auto& blk : fn.blocks()) {
-      for (OpId oid : std::vector<OpId>(blk.ops)) {
-        changes += rewrite(fn, blk, oid);
-      }
-    }
-    return changes;
-  }
-
- private:
-  static bool isZero(const Function& fn, ValueId v) {
-    const Op& def = fn.defOf(v);
-    if (def.kind != OpKind::Const) return false;
-    int w = fn.value(v).width;
-    std::uint64_t raw = static_cast<std::uint64_t>(def.imm);
-    return (w == 64 ? raw : (raw & ((1ULL << w) - 1))) == 0;
-  }
-
-  static int rewrite(Function& fn, const Block& blk, OpId oid) {
+  int rewrite(const Block& blk, OpId oid) {
     Op& o = fn.op(oid);
     const int rw = o.result.valid() ? fn.value(o.result).width : 0;
 
@@ -45,13 +36,13 @@ class AlgebraicPass final : public Pass {
     // Refuse when the alias would root consumers at a register that is
     // overwritten later in the block (same guard as forwarding).
     auto toCopy = [&](ValueId v) {
-      if (wiringWouldOutliveStore(fn, blk, v)) return 0;
+      if (guard.wiringWouldOutliveStore(blk, v)) return 0;
       if (fn.value(v).width == rw) {
-        fn.replaceAllUses(o.result, v);
-        fn.removeOp(oid);
+        uses.replace(o.result, v);
+        removed.push_back(oid);
       } else {
         o.kind = fn.value(v).width > rw ? OpKind::Trunc : OpKind::ZExt;
-        o.args = {v};
+        uses.setArgs(oid, {v});
         o.imm = 0;
       }
       return 1;
@@ -101,7 +92,7 @@ class AlgebraicPass final : public Pass {
         const Op& inner = fn.defOf(o.args[0]);
         if (inner.kind == o.kind && !inner.args.empty() &&
             o.kind != OpKind::Trunc) {
-          o.args[0] = inner.args[0];
+          uses.setArg(oid, 0, inner.args[0]);
           return 1;
         }
         return 0;
@@ -112,6 +103,29 @@ class AlgebraicPass final : public Pass {
       default:
         return 0;
     }
+  }
+
+  Function& fn;
+  UseIndex uses;
+  StoreGuard guard;
+  std::vector<OpId> removed;
+};
+
+class AlgebraicPass final : public Pass {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "algebraic"; }
+
+  int run(Function& fn) override {
+    int changes = 0;
+    Rewriter rw(fn);
+    for (const auto& blk : fn.blocks()) {
+      rw.removed.clear();
+      for (OpId oid : std::vector<OpId>(blk.ops)) {
+        changes += rw.rewrite(blk, oid);
+      }
+      fn.removeOps(blk.id, rw.removed);
+    }
+    return changes;
   }
 };
 

@@ -2,8 +2,8 @@
 // identical opcode, immediate and operands reuse the first computation.
 // Commutative operands are canonicalized so a*b and b*a unify. Repeated
 // loads of a variable with no intervening store also merge.
-#include <map>
-#include <tuple>
+#include <array>
+#include <unordered_map>
 #include <vector>
 
 #include "opt/pass.h"
@@ -12,22 +12,45 @@ namespace mphls {
 
 namespace {
 
+/// A pure computation: opcode, immediate, result width and operands (the
+/// opcode fixes the arity; unused slots stay 0).
+struct ExprKey {
+  OpKind kind = OpKind::Nop;
+  std::int64_t imm = 0;
+  int width = 0;
+  std::array<std::uint32_t, 3> args{};
+
+  bool operator==(const ExprKey&) const = default;
+};
+
+struct ExprKeyHash {
+  std::size_t operator()(const ExprKey& k) const {
+    std::uint64_t h = (std::uint64_t)k.kind * 0x9e3779b97f4a7c15ULL;
+    auto mix = [&h](std::uint64_t x) {
+      h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    };
+    mix((std::uint64_t)k.imm);
+    mix((std::uint64_t)k.width);
+    for (std::uint32_t a : k.args) mix(a);
+    return (std::size_t)h;
+  }
+};
+
 class CsePass final : public Pass {
  public:
   [[nodiscard]] std::string_view name() const override { return "cse"; }
 
   int run(Function& fn) override {
     int changes = 0;
+    UseIndex uses(fn);
     for (auto& blk : fn.blocks()) {
-      using Key = std::tuple<OpKind, std::int64_t, std::vector<std::uint32_t>,
-                             int>;
-      std::map<Key, ValueId> seen;
+      std::unordered_map<ExprKey, ValueId, ExprKeyHash> seen;
       // Loads: (var, generation) so stores invalidate.
-      std::map<std::uint32_t, int> varGen;
-      std::map<std::pair<std::uint32_t, int>, ValueId> loadSeen;
+      std::unordered_map<std::uint32_t, std::uint32_t> varGen;
+      std::unordered_map<std::uint64_t, ValueId> loadSeen;
 
       // Input-port reads are stable within an execution: dedup per block.
-      std::map<std::uint32_t, ValueId> readSeen;
+      std::unordered_map<std::uint32_t, ValueId> readSeen;
 
       std::vector<OpId> toRemove;
       for (OpId oid : blk.ops) {
@@ -39,17 +62,17 @@ class CsePass final : public Pass {
         if (o.kind == OpKind::ReadPort) {
           auto [it, inserted] = readSeen.emplace(o.port.get(), o.result);
           if (!inserted) {
-            fn.replaceAllUses(o.result, it->second);
+            uses.replace(o.result, it->second);
             toRemove.push_back(oid);
             ++changes;
           }
           continue;
         }
         if (o.kind == OpKind::LoadVar) {
-          auto key = std::make_pair(o.var.get(), varGen[o.var.get()]);
+          auto key = (std::uint64_t)o.var.get() << 32 | varGen[o.var.get()];
           auto [it, inserted] = loadSeen.emplace(key, o.result);
           if (!inserted) {
-            fn.replaceAllUses(o.result, it->second);
+            uses.replace(o.result, it->second);
             toRemove.push_back(oid);
             ++changes;
           }
@@ -57,19 +80,20 @@ class CsePass final : public Pass {
         }
         if (!opIsPure(o.kind)) continue;
 
-        std::vector<std::uint32_t> args;
-        for (ValueId a : o.args) args.push_back(a.get());
-        if (opIsCommutative(o.kind) && args.size() == 2 && args[0] > args[1])
-          std::swap(args[0], args[1]);
-        Key key{o.kind, o.imm, std::move(args), fn.value(o.result).width};
-        auto [it, inserted] = seen.emplace(std::move(key), o.result);
+        ExprKey key{o.kind, o.imm, fn.value(o.result).width, {}};
+        for (std::size_t a = 0; a < o.args.size(); ++a)
+          key.args[a] = o.args[a].get();
+        if (opIsCommutative(o.kind) && o.args.size() == 2 &&
+            key.args[0] > key.args[1])
+          std::swap(key.args[0], key.args[1]);
+        auto [it, inserted] = seen.emplace(key, o.result);
         if (!inserted) {
-          fn.replaceAllUses(o.result, it->second);
+          uses.replace(o.result, it->second);
           toRemove.push_back(oid);
           ++changes;
         }
       }
-      for (OpId oid : toRemove) fn.removeOp(oid);
+      fn.removeOps(blk.id, toRemove);
     }
     return changes;
   }

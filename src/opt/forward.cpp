@@ -7,7 +7,6 @@
 // lets later passes (const folding, DCE) fire.
 #include <unordered_map>
 
-#include "ir/deps.h"
 #include "opt/pass.h"
 
 namespace mphls {
@@ -20,6 +19,8 @@ class ForwardingPass final : public Pass {
 
   int run(Function& fn) override {
     int changes = 0;
+    UseIndex uses(fn);
+    StoreGuard guard(fn);
     for (auto& blk : fn.blocks()) {
       // Last in-block stored value per variable (+ position of the store).
       std::unordered_map<std::uint32_t, std::pair<ValueId, std::size_t>>
@@ -39,8 +40,8 @@ class ForwardingPass final : public Pass {
           // Safety: if v is rooted at a load of variable w and w is stored
           // again later in the block, the forwarded uses would read w's
           // register after the overwrite — keep the explicit copy instead.
-          if (wiringWouldOutliveStore(fn, blk, v)) continue;
-          fn.replaceAllUses(o.result, v);
+          if (guard.wiringWouldOutliveStore(blk, v)) continue;
+          uses.replace(o.result, v);
           ++changes;
           // The dead load is swept by DCE.
         }

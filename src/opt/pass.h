@@ -87,14 +87,72 @@ class PassManager {
 /// Convenience: run the standard pipeline in place.
 void optimize(Function& fn);
 
-/// True when turning a value into free wiring over `v` could let a consumer
-/// outlive `v`'s backing register: the free-wiring chain under `v` roots at
-/// a LoadVar whose variable is stored again later in `blk`. Any pass that
-/// aliases an occupying op's result to wiring over an operand (forwarding,
-/// algebraic identities, strength reduction) must refuse the rewrite when
-/// this holds — otherwise the use-before-overwrite dependence (deps.cpp)
-/// contradicts the store-order chain and the block becomes unschedulable.
-[[nodiscard]] bool wiringWouldOutliveStore(const Function& fn,
-                                           const Block& blk, ValueId v);
+/// Every use of every value — each (op, argument slot) that reads it and
+/// each block whose branch tests it — built once per pass run so a rewrite
+/// costs the uses it moves, not a scan of the function.
+///
+/// The index may hold stale entries (a slot rewritten since, an op removed
+/// since); replace() checks each entry against the IR before touching it,
+/// so the only rules for a pass are: write argument slots through
+/// setArg/setArgs, and create no ops while the index is in use.
+class UseIndex {
+ public:
+  explicit UseIndex(Function& fn);
+
+  /// Redirect every use of `from` to `to`: the same IR as
+  /// Function::replaceAllUses(from, to), uses in dead ops left alone.
+  void replace(ValueId from, ValueId to);
+
+  /// Write `v` into argument slot `slot` of `op` and record the use.
+  void setArg(OpId op, std::size_t slot, ValueId v);
+  /// Replace the whole argument list of `op` and record its uses.
+  void setArgs(OpId op, std::vector<ValueId> args);
+
+ private:
+  /// Slot value marking a branch-condition use (user is a block index).
+  static constexpr std::uint32_t kBranch = 0xffffffffu;
+  struct Use {
+    std::uint32_t user;  ///< op index, or block index for kBranch
+    std::uint32_t slot;
+    std::int32_t next;   ///< next use of the same value, -1 at the end
+  };
+
+  void add(ValueId v, std::uint32_t user, std::uint32_t slot);
+
+  Function& fn_;
+  std::vector<Use> uses_;
+  std::vector<std::int32_t> head_, tail_;  ///< per value, -1 when unused
+};
+
+/// Answers, per block, whether turning a value into free wiring over `v`
+/// could let a consumer outlive `v`'s backing register: the free-wiring
+/// chain under `v` roots at a LoadVar whose variable is stored again later
+/// in the block. Any pass that aliases an occupying op's result to wiring
+/// over an operand (forwarding, algebraic identities, strength reduction)
+/// must refuse the rewrite when this holds — otherwise the
+/// use-before-overwrite dependence (deps.cpp) contradicts the store-order
+/// chain and the block becomes unschedulable.
+///
+/// Op positions and the last store of each variable are indexed once per
+/// block; the answer stays exact while the pass rewrites ops in place,
+/// removes ops (removeOp/removeOps), or creates new ones (re-indexed on
+/// the next query).
+class StoreGuard {
+ public:
+  explicit StoreGuard(const Function& fn) : fn_(fn) {}
+
+  [[nodiscard]] bool wiringWouldOutliveStore(const Block& blk, ValueId v);
+
+ private:
+  void index(const Block& blk);
+
+  const Function& fn_;
+  BlockId block_;  ///< block the positions describe
+  std::size_t indexedOps_ = 0;  ///< fn_.numOps() when block_ was indexed
+  std::vector<std::uint32_t> pos_;        ///< by op: position + 1, 0: absent
+  std::vector<std::uint32_t> lastStore_;  ///< by var: op index + 1, 0: none
+  std::vector<OpId> placed_;              ///< ops whose pos_ is set
+  std::vector<VarId> stored_;             ///< vars whose lastStore_ is set
+};
 
 }  // namespace mphls

@@ -23,9 +23,10 @@ class StrengthPass final : public Pass {
 
   int run(Function& fn) override {
     int changes = 0;
+    StoreGuard guard(fn);
     for (const auto& blk : fn.blocks()) {
       for (OpId oid : std::vector<OpId>(blk.ops)) {
-        changes += rewrite(fn, blk, oid);
+        changes += rewrite(fn, guard, blk, oid);
       }
     }
     return changes;
@@ -43,14 +44,16 @@ class StrengthPass final : public Pass {
     return raw > (1ULL << 62) ? -1 : static_cast<std::int64_t>(raw);
   }
 
-  static int rewrite(Function& fn, const Block& blk, OpId oid) {
+  static int rewrite(Function& fn, StoreGuard& guard, const Block& blk,
+                     OpId oid) {
     Op& o = fn.op(oid);
     // Rewriting an occupying op into free wiring (casts, constant shifts)
     // chains its consumers to the operand's root register; refuse when that
     // register is overwritten later in the block (same guard as forwarding
     // and the algebraic identities).
     auto toUnary = [&](OpKind k, ValueId arg, std::int64_t imm = 0) {
-      if (kindFlowsFree(k) && wiringWouldOutliveStore(fn, blk, arg)) return 0;
+      if (kindFlowsFree(k) && guard.wiringWouldOutliveStore(blk, arg))
+        return 0;
       o.kind = k;
       o.args = {arg};
       o.imm = imm;

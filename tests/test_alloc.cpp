@@ -9,12 +9,17 @@
 //     compatible operations.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <sstream>
+
 #include "alloc/clique.h"
 #include "alloc/fu_alloc.h"
 #include "alloc/interconnect.h"
 #include "alloc/lifetime.h"
 #include "alloc/reg_alloc.h"
 #include "core/options.h"
+#include "core/synthesizer.h"
+#include "fuzz/bdl_gen.h"
 #include "lang/frontend.h"
 #include "sched/list_sched.h"
 #include "sched/sched_util.h"
@@ -372,6 +377,175 @@ TEST(Interconnect, MuxAreaGrowsWithSharing) {
   EXPECT_EQ(validateInterconnect(icOne), "");
   EXPECT_EQ(validateInterconnect(icTwo), "");
   EXPECT_GT(icOne.muxArea, 0.0);
+}
+
+// --------------------------------------------- validators vs all-pairs scans
+
+/// Reference: the all-pairs scan validateInterconnect replaced.
+std::string validateInterconnectReference(const InterconnectResult& ic) {
+  std::ostringstream err;
+  for (std::size_t i = 0; i < ic.transfers.size(); ++i) {
+    const Transfer& t = ic.transfers[i];
+    const MuxSpec* mux = nullptr;
+    switch (t.destKind) {
+      case Transfer::DestKind::FuPort:
+        mux = &ic.fuInput[(std::size_t)t.destId][(std::size_t)t.destPort];
+        break;
+      case Transfer::DestKind::Reg:
+        mux = &ic.regInput[(std::size_t)t.destId];
+        break;
+      case Transfer::DestKind::OutPort:
+        mux = &ic.outPortInput[(std::size_t)t.destId];
+        break;
+    }
+    if (!mux || mux->indexOf(t.src) < 0) {
+      err << "transfer " << i << " source " << t.src.str()
+          << " missing from destination mux";
+      return err.str();
+    }
+    if (ic.busOfTransfer[i] < 0 || ic.busOfTransfer[i] >= ic.numBuses) {
+      err << "transfer " << i << " has no bus";
+      return err.str();
+    }
+    for (std::size_t j = i + 1; j < ic.transfers.size(); ++j) {
+      if (ic.busOfTransfer[i] == ic.busOfTransfer[j] &&
+          ic.transfers[j].step == t.step &&
+          !(ic.transfers[j].src == t.src)) {
+        err << "bus " << ic.busOfTransfer[i]
+            << " carries two values at step " << t.step;
+        return err.str();
+      }
+    }
+  }
+  return {};
+}
+
+/// Reference: the all-pairs scan validateRegAssignment falls back to.
+std::string validateRegAssignmentReference(const LifetimeInfo& lt,
+                                           const RegAssignment& regs) {
+  std::ostringstream err;
+  if (regs.regOfItem.size() != lt.items.size()) return "item count mismatch";
+  for (std::size_t i = 0; i < lt.items.size(); ++i) {
+    if (lt.items[i].live.empty()) continue;
+    if (regs.regOfItem[i] < 0 || regs.regOfItem[i] >= regs.numRegs) {
+      err << "item " << i << " has no register";
+      return err.str();
+    }
+    if (regs.regWidth[(std::size_t)regs.regOfItem[i]] < lt.items[i].width) {
+      err << "register too narrow for item " << i;
+      return err.str();
+    }
+    for (std::size_t j = i + 1; j < lt.items.size(); ++j) {
+      if (regs.regOfItem[i] == regs.regOfItem[j] &&
+          lt.items[i].live.overlaps(lt.items[j].live)) {
+        err << "items " << i << " (" << lt.items[i].name << ") and " << j
+            << " (" << lt.items[j].name << ") share register "
+            << regs.regOfItem[i] << " with overlapping lifetimes";
+        return err.str();
+      }
+    }
+  }
+  return {};
+}
+
+/// Synthesized designs of generated programs, greedy and clique allocation.
+std::vector<RtlDesign> generatedDesigns() {
+  std::vector<RtlDesign> out;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SynthesisOptions o;
+    o.check = false;
+    if (seed % 2 == 0) {
+      o.fuMethod = FuAllocMethod::Clique;
+      o.regMethod = RegAllocMethod::Clique;
+    }
+    out.push_back(Synthesizer(o)
+                      .synthesizeSource(fuzz::generateProgram(seed).render())
+                      .design);
+  }
+  return out;
+}
+
+TEST(Validators, InterconnectNamesSameViolationAsAllPairsScan) {
+  int caught = 0;
+  for (const RtlDesign& d : generatedDesigns()) {
+    ASSERT_EQ(validateInterconnect(d.ic), "");
+    std::mt19937_64 rng(d.ic.transfers.size());
+    auto pick = [&](std::size_t n) { return (std::size_t)(rng() % n); };
+    const std::size_t nt = d.ic.transfers.size();
+    ASSERT_GT(nt, 0u);
+    for (int trial = 0; trial < 60; ++trial) {
+      InterconnectResult ic = d.ic;
+      for (int k = 0, n = 1 + (int)pick(3); k < n; ++k) {
+        const std::size_t t = pick(nt), u = pick(nt);
+        switch (pick(4)) {
+          case 0:  // another (possibly invalid) bus
+            ic.busOfTransfer[t] = (int)pick((std::size_t)ic.numBuses + 2) - 1;
+            break;
+          case 1:  // onto another transfer's bus and step
+            ic.busOfTransfer[t] = ic.busOfTransfer[u];
+            ic.transfers[t].step = ic.transfers[u].step;
+            break;
+          case 2:  // another transfer's source
+            ic.transfers[t].src = ic.transfers[u].src;
+            break;
+          default: {  // a source dropped from a register mux
+            if (ic.regInput.empty()) break;
+            auto& srcs = ic.regInput[pick(ic.regInput.size())].sources;
+            if (!srcs.empty())
+              srcs.erase(srcs.begin() + (long)pick(srcs.size()));
+          }
+        }
+      }
+      const std::string want = validateInterconnectReference(ic);
+      ASSERT_EQ(validateInterconnect(ic), want) << "trial " << trial;
+      caught += !want.empty();
+    }
+  }
+  EXPECT_GT(caught, 100);
+}
+
+TEST(Validators, RegAssignmentNamesSameViolationAsAllPairsScan) {
+  int caught = 0;
+  for (const RtlDesign& d : generatedDesigns()) {
+    ASSERT_EQ(validateRegAssignment(d.lifetimes, d.regs), "");
+    const std::size_t n = d.lifetimes.items.size();
+    if (n == 0) continue;
+    std::mt19937_64 rng(n);
+    auto pick = [&](std::size_t m) { return (std::size_t)(rng() % m); };
+    for (int trial = 0; trial < 60; ++trial) {
+      LifetimeInfo lt = d.lifetimes;
+      RegAssignment regs = d.regs;
+      for (int k = 0, m = 1 + (int)pick(3); k < m; ++k) {
+        const std::size_t i = pick(n), u = pick(n);
+        switch (pick(5)) {
+          case 0:  // another (possibly invalid) register
+            regs.regOfItem[i] = (int)pick((std::size_t)regs.numRegs + 2) - 1;
+            break;
+          case 1:  // share the register of another item
+            regs.regOfItem[i] = regs.regOfItem[u];
+            break;
+          case 2:  // an empty (possibly inverted) lifetime
+            lt.items[i].live.death = lt.items[i].live.birth - (int)pick(3);
+            break;
+          case 3:  // an empty lifetime inside another item's, sharing its
+                   // register (LiveInterval::overlaps still reports it)
+            if (i != u && lt.items[u].live.length() >= 2) {
+              const int at = lt.items[u].live.birth + 1;
+              lt.items[i].live = {at, at};
+              regs.regOfItem[i] = regs.regOfItem[u];
+            }
+            break;
+          default:  // a narrower register
+            if (regs.regOfItem[i] >= 0 && regs.regOfItem[i] < regs.numRegs)
+              regs.regWidth[(std::size_t)regs.regOfItem[i]] = 1;
+        }
+      }
+      const std::string want = validateRegAssignmentReference(lt, regs);
+      ASSERT_EQ(validateRegAssignment(lt, regs), want) << "trial " << trial;
+      caught += !want.empty();
+    }
+  }
+  EXPECT_GT(caught, 100);
 }
 
 }  // namespace
