@@ -106,9 +106,10 @@ Microprogram buildMicrocode(const Controller& ctrl,
   int addrTF = addField("useq_taken", mp.addrBits);
   int addrFF = addField("useq_fallthrough", mp.addrBits);
 
+  // A horizontal field is `legs` bits wide; see Microprogram::oneHot.
   auto encodeSel = [&](int sel, int legs) -> std::uint64_t {
     if (legs <= 1) return 0;
-    return horizontal ? (1ULL << sel) : (std::uint64_t)sel;
+    return horizontal && legs <= 64 ? (1ULL << sel) : (std::uint64_t)sel;
   };
 
   for (const CtrlState& st : ctrl.states) {

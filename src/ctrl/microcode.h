@@ -45,6 +45,14 @@ struct Microprogram {
     return static_cast<double>(words.size()) * wordWidth;
   }
   [[nodiscard]] const MicroField* field(const std::string& name) const;
+  /// Whether select/function field `f` holds a one-hot word or an index.
+  /// Horizontal fields are one-hot, but a field value is one 64-bit word,
+  /// so a horizontal field wider than 64 bits holds the index of its hot
+  /// bit.
+  [[nodiscard]] bool oneHot(int f) const {
+    return style == MicrocodeStyle::Horizontal &&
+           fields[(std::size_t)f].width <= 64;
+  }
   [[nodiscard]] std::string dump() const;
 };
 

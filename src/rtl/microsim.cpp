@@ -12,8 +12,8 @@ namespace mphls {
 namespace {
 
 /// Decode a select-field value back to a mux leg index.
-int decodeSel(std::uint64_t value, bool horizontal) {
-  if (!horizontal) return (int)value;
+int decodeSel(std::uint64_t value, bool oneHot) {
+  if (!oneHot) return (int)value;
   // One-hot: position of the set bit (0 when no bit set).
   for (int b = 0; b < 64; ++b)
     if ((value >> b) & 1) return b;
@@ -30,7 +30,6 @@ RtlExecResult MicrocodeSimulator::run(
       MPHLS_CHECK(fa.cycles <= 1,
                   "microcode simulation supports unit-latency designs only");
   RtlExecResult res;
-  const bool horizontal = mp_.style == MicrocodeStyle::Horizontal;
 
   // Field lookup tables by name, resolved once.
   auto fieldIndex = [&](const std::string& name) -> int {
@@ -112,7 +111,7 @@ RtlExecResult MicrocodeSimulator::run(
       const FuInstance& fu = d_.binding.fus[(std::size_t)f];
       int opIdx = fuOpF[(std::size_t)f] >= 0
                       ? decodeSel(w[(std::size_t)fuOpF[(std::size_t)f]],
-                                  horizontal)
+                                  mp_.oneHot(fuOpF[(std::size_t)f]))
                       : 0;
       MPHLS_CHECK(opIdx >= 0 && opIdx < (int)fu.kinds.size(),
                   "bad function code");
@@ -123,11 +122,9 @@ RtlExecResult MicrocodeSimulator::run(
       auto pushPort = [&](int q) {
         const MuxSpec& mux = d_.ic.fuInput[(std::size_t)f][(std::size_t)q];
         MPHLS_CHECK(mux.legs() > 0, "operand port has no sources");
-        int sel = fuMuxF[(std::size_t)f][(std::size_t)q] >= 0
-                      ? decodeSel(
-                            w[(std::size_t)fuMuxF[(std::size_t)f]
-                                  [(std::size_t)q]],
-                            horizontal)
+        const int field = fuMuxF[(std::size_t)f][(std::size_t)q];
+        int sel = field >= 0
+                      ? decodeSel(w[(std::size_t)field], mp_.oneHot(field))
                       : 0;
         MPHLS_CHECK(sel >= 0 && sel < mux.legs(), "bad mux select");
         const Source& s = mux.sources[(std::size_t)sel];
@@ -162,7 +159,7 @@ RtlExecResult MicrocodeSimulator::run(
       const MuxSpec& mux = d_.ic.regInput[(std::size_t)r];
       int sel = regSelF[(std::size_t)r] >= 0
                     ? decodeSel(w[(std::size_t)regSelF[(std::size_t)r]],
-                                horizontal)
+                                mp_.oneHot(regSelF[(std::size_t)r]))
                     : 0;
       MPHLS_CHECK(sel >= 0 && sel < mux.legs(), "bad register select");
       regWrites.push_back(
@@ -173,7 +170,8 @@ RtlExecResult MicrocodeSimulator::run(
       if (portEnF[p] < 0 || w[(std::size_t)portEnF[p]] == 0) continue;
       const MuxSpec& mux = d_.ic.outPortInput[p];
       int sel = portSelF[p] >= 0
-                    ? decodeSel(w[(std::size_t)portSelF[p]], horizontal)
+                    ? decodeSel(w[(std::size_t)portSelF[p]],
+                                mp_.oneHot(portSelF[p]))
                     : 0;
       MPHLS_CHECK(sel >= 0 && sel < mux.legs(), "bad port select");
       portWrites.push_back(

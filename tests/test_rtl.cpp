@@ -3,6 +3,9 @@
 // shared source-evaluation helpers, and Verilog emission details.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/designs.h"
 #include "core/synthesizer.h"
 #include "rtl/microsim.h"
@@ -110,6 +113,38 @@ TEST(Microsim, CondSelectTablePopulated) {
   EXPECT_GE(r.microEncoded.condTable.size(), 1u);
   EXPECT_EQ(r.microEncoded.entryAddress, r.design.ctrl.initial.get());
   EXPECT_EQ(r.microEncoded.haltAddress, r.design.ctrl.haltState.get());
+}
+
+TEST(Microsim, HorizontalSelectsWiderThan64Legs) {
+  // The default configuration gives this 1600-op chain a unit-operand mux
+  // with more than 64 legs: its horizontal select field is wider than a
+  // 64-bit field value, so it holds the leg index (Microprogram::oneHot).
+  std::ifstream in(std::string(MPHLS_FIXTURE_DIR) + "/clique/chain1600.bdl");
+  std::stringstream src;
+  src << in.rdbuf();
+  SynthesisOptions opts;
+  opts.check = false;
+  SynthesisResult r = Synthesizer(opts).synthesizeSource(src.str());
+  int widest = 0;
+  for (const auto& ports : r.design.ic.fuInput)
+    for (const MuxSpec& m : ports) widest = std::max(widest, m.legs());
+  ASSERT_GT(widest, 64);
+
+  MicrocodeSimulator usim(r.design, r.microHorizontal);
+  RtlSimulator fsim(r.design);
+  for (std::uint64_t v : {1ull, 0x1234ull}) {
+    std::map<std::string, std::uint64_t> inputs;
+    for (int i = 0; i < 8; ++i) {
+      std::string name = "i";  // appended: GCC 12 -O3 -Wrestrict misfires
+      name += std::to_string(i);
+      inputs[name] = v * (std::uint64_t)(i + 3);
+    }
+    auto ur = usim.run(inputs);
+    auto fr = fsim.run(inputs);
+    ASSERT_TRUE(ur.finished);
+    ASSERT_TRUE(fr.finished);
+    EXPECT_EQ(ur.outputs, fr.outputs);
+  }
 }
 
 // ------------------------------------------------------------- verilog
