@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rtl/verilog.h"
+#include "sched/sched_util.h"
 
 namespace mphls {
 
@@ -140,17 +141,15 @@ std::vector<DsePoint> exploreTimeSweep(const std::string& source,
                                        SynthesisOptions base) {
   auto fn = FrontendCache::global().get(source, "", base.opt);
 
-  // Discover the longest block's critical length with an unconstrained
-  // force-directed run, then sweep uniform horizons upward from there
-  // (forceDirectedSchedule clamps per block to its own critical length).
-  SynthesisOptions probeOpts = base;
-  probeOpts.scheduler = SchedulerKind::ForceDirected;
-  probeOpts.timeConstraint = 0;
-  Synthesizer probe(probeOpts);
-  SynthesisResult r0 = probe.synthesizeOptimized(*fn);
+  // Sweep uniform horizons upward from the longest block's unconstrained
+  // ASAP length: the step count an unconstrained force-directed run ends
+  // at (the tests hold the two equal), read off without synthesizing.
+  // forceDirectedSchedule clamps each block to its own critical length.
   int maxBlockSteps = 0;
-  for (const auto& bs : r0.design.sched.blocks)
-    maxBlockSteps = std::max(maxBlockSteps, bs.numSteps);
+  for (const auto& blk : fn->blocks())
+    maxBlockSteps = std::max(
+        maxBlockSteps,
+        asapUnconstrained(BlockDeps(*fn, blk, base.latencies)).numSteps);
 
   if (extraSlack < 0) extraSlack = 0;
   const std::size_t count = static_cast<std::size_t>(extraSlack) + 1;

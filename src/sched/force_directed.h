@@ -48,10 +48,12 @@ struct DistributionGraph {
 /// distribution graphs are cached across the fix iterations and updated by
 /// delta propagation when an operation is fixed — candidate evaluation
 /// re-derives only the frames a trial placement actually narrows, instead
-/// of rebuilding every frame per candidate. The result is identical to
-/// forceDirectedScheduleReference on every input (the propagation computes
-/// the same integer fixpoint and force terms accumulate in the same
-/// order); only the wall time differs.
+/// of rebuilding every frame per candidate. Ops whose frame is already one
+/// step wide are fixed in one batch before any force is evaluated, where
+/// the reference fixes one per scan and discards that scan's forces. The
+/// result is identical to forceDirectedScheduleReference on every input
+/// (the propagation computes the same integer fixpoint and force terms
+/// accumulate in the same order); only the wall time differs.
 [[nodiscard]] BlockSchedule forceDirectedSchedule(const BlockDeps& deps,
                                                   int horizon);
 
