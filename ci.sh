@@ -4,7 +4,9 @@
 #    lint of the paper's square-root design;
 #  - a clique-allocation scaling guard (a 400-op design under a 10 s
 #    timeout) and a default-config scaling guard (the wall-time ratio of
-#    a 1600-op and a 400-op design);
+#    a 1600-op and a 400-op design), and a force-directed cost guard
+#    (the wall-time ratio of force-directed and default synthesis of the
+#    400-op design);
 #  - a Release (-O3 -Werror) build of the full tree;
 #  - the perfbench smoke (perfbench/run.py --smoke): every BENCHMARK.json
 #    workload runs at a tiny size, with and without tracing, and must
@@ -73,6 +75,36 @@ ratio = t_large / t_small
 print(f"scaling guard: 400 ops {t_small * 1e3:.1f} ms, 1600 ops "
       f"{t_large * 1e3:.1f} ms, ratio {ratio:.2f} (bound {BOUND})")
 assert ratio <= BOUND, f"4x design takes {ratio:.2f}x the time (> {BOUND})"
+EOF
+
+# --- Force-directed cost guard: `mphls synth --quiet --scheduler force
+# --time-constraint 408` on the seeded 400-op chain over the default
+# config on the same file, median of 5 runs each. The bound sits halfway
+# between the ratio when every tight fix restarts the force scan and each
+# trial propagates through ordered sets (39.6) and with batched tight
+# fixes and heap worklists (12.6), both medians of 10 runs of this
+# procedure on 4 CPUs.
+python3 - ./build/src/cli/mphls tests/fixtures/clique/chain400.bdl << 'EOF'
+import statistics, subprocess, sys, time
+
+BOUND = 26.1
+mphls, design = sys.argv[1:3]
+
+def wall(*flags):
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        subprocess.run([mphls, "synth", "--quiet", *flags, design], check=True)
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs)
+
+t_default = wall()
+t_force = wall("--scheduler", "force", "--time-constraint", "408")
+ratio = t_force / t_default
+print(f"force-directed cost guard: default {t_default * 1e3:.1f} ms, force "
+      f"{t_force * 1e3:.1f} ms, ratio {ratio:.2f} (bound {BOUND})")
+assert ratio <= BOUND, \
+    f"force-directed synthesis takes {ratio:.2f}x the default (> {BOUND})"
 EOF
 
 # --- Release build gate: -O3 turns on optimizer-driven diagnostics that
@@ -202,7 +234,8 @@ cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 # optimizer's verify/compact spans and the ops= size of the FU and
 # interconnect allocation spans must be in the trace. A traced
 # `mphls lint` must be just as well-formed and show the netlist emit, the
-# netlist lint and the timing engine's spans.
+# netlist lint and the timing engine's spans; a traced force-directed
+# `mphls profile` must show a sized sched.force span per block.
 OBS_OUT=build/obs-smoke
 mkdir -p "$OBS_OUT"
 ./build/src/cli/mphls profile examples/sqrt.bdl \
@@ -210,8 +243,11 @@ mkdir -p "$OBS_OUT"
   --stats "$OBS_OUT/metrics.json" --quiet > /dev/null
 ./build/src/cli/mphls lint examples/sqrt.bdl \
   --trace "$OBS_OUT/lint-trace.json" > /dev/null
+./build/src/cli/mphls profile examples/sqrt.bdl --scheduler force \
+  --trace "$OBS_OUT/force-trace.json" --quiet > /dev/null
 python3 - "$OBS_OUT/trace.json" "$OBS_OUT/metrics.json" \
-  "$OBS_OUT/wave.vcd" "$OBS_OUT/lint-trace.json" << 'EOF'
+  "$OBS_OUT/wave.vcd" "$OBS_OUT/lint-trace.json" \
+  "$OBS_OUT/force-trace.json" << 'EOF'
 import json, sys
 
 def span_names(path):
@@ -248,6 +284,14 @@ for span in ("alloc.fu", "alloc.interconnect"):
                if e["ph"] == "B" and e["name"] == span]
     assert details and all(d.startswith("ops=") for d in details), \
         f"{span} spans lack an ops= size: {details}"
+# The force-directed scheduler shows one span per block with its size.
+span_names(sys.argv[5])
+details = [e.get("args", {}).get("detail", "")
+           for e in json.load(open(sys.argv[5]))["traceEvents"]
+           if e["ph"] == "B" and e["name"] == "sched.force"]
+assert details and all(d.startswith("ops=") and " horizon=" in d
+                       for d in details), \
+    f"sched.force spans lack an ops=/horizon= size: {details}"
 lint_names = span_names(sys.argv[4])
 for span in ("lint.verilog", "rtl.verilog", "sta.run", "sta.graph",
              "sta.structural"):
