@@ -8,11 +8,17 @@
 //   alloc  lifetimes, register assignment, FU binding and interconnect
 //   fd     force-directed block schedules over a ladder of horizons, and
 //          the rendered points and Verilog of the force-directed time sweep
+//   ctrl   raw and minimized control-logic covers, state codes and the
+//          controller's PLA area under every state encoding
+//   check  the findings of the four stage-exit analyzers on clean and
+//          deliberately broken designs, in insertion and rendered order
 //
 // The sta/lint lines live in tests/fixtures/sta_lint_digest.txt. The alloc
 // lines live in tests/fixtures/alloc_digest.txt, which also covers 16
 // larger generated programs (300-800 ops) on the greedy allocators. The fd
-// lines live in tests/fixtures/fd_digest.txt. A
+// lines live in tests/fixtures/fd_digest.txt, the ctrl lines in
+// tests/fixtures/ctrl_digest.txt and the check lines in
+// tests/fixtures/check_digest.txt. A
 // mismatch names the first design that differs and writes the whole actual
 // listing to <fixture>.actual in the working directory.
 #include <gtest/gtest.h>
@@ -25,12 +31,16 @@
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "check/lint_verilog.h"
 #include "check/report.h"
 #include "core/designs.h"
 #include "core/dse.h"
 #include "core/frontend_cache.h"
+#include "core/inject.h"
 #include "core/synthesizer.h"
+#include "ctrl/encode.h"
+#include "estim/estimate.h"
 #include "fuzz/bdl_gen.h"
 #include "fuzz/corpus.h"
 #include "fuzz/diff_runner.h"
@@ -393,6 +403,377 @@ TEST(Digest, ForceDirectedMatchesCapturedDigest) {
                      " verilog=" + hex(v));
   }
   expectMatchesFixture(actual, "fd_digest.txt");
+}
+
+/// Single-block BDL chain of `n` assignments over eight inputs: each
+/// assignment combines the previous one with a recent one, an input or a
+/// constant.
+std::string chainBdl(int n, std::uint64_t seed) {
+  fuzz::Rng rng(seed);
+  static const char* kOps[] = {"+", "-", "*", "&", "|", "^"};
+  std::string s = numbered("proc chain", n);
+  s += "(";
+  for (int i = 0; i < 8; ++i) s += numbered("in i", i) + ": uint<16>, ";
+  s += "out o0: uint<16>, out o1: uint<16>) {\n";
+  for (int k = 0; k < n; ++k) s += numbered("  var t", k) + ": uint<16>;\n";
+  s += "  t0 = i0 + i1;\n";
+  for (int k = 1; k < n; ++k) {
+    std::string y;
+    const std::size_t r = rng.below(100);
+    if (r < 60 && k >= 2) {
+      const int lo = std::max(0, k - 12);
+      y = numbered("t", lo + (int)rng.below((std::size_t)(k - 1 - lo)));
+    } else if (r < 85) {
+      y = numbered("i", (long long)rng.below(8));
+    } else {
+      y = std::to_string(3 + 2 * rng.below(126));
+    }
+    s += numbered("  t", k) + " = " + numbered("t", k - 1) + " " +
+         kOps[rng.below(6)] + " " + y + ";\n";
+  }
+  s += numbered("  o0 = t", n - 1) + ";\n" + numbered("  o1 = t", n / 2) +
+       ";\n}\n";
+  return s;
+}
+
+/// BDL loop: six state variables carried through a three-trip do/until
+/// whose body is a chain of about `n` assignments.
+std::string loopBdl(int n, std::uint64_t seed) {
+  fuzz::Rng rng(seed);
+  static const char* kOps[] = {"+", "-", "*", "&", "|", "^"};
+  const int body = std::max(8, n - 12);
+  std::string s = numbered("proc loop", n);
+  s += "(";
+  for (int i = 0; i < 8; ++i) s += numbered("in i", i) + ": uint<16>, ";
+  s += "out o0: uint<16>, out o1: uint<16>) {\n";
+  for (int j = 0; j < 6; ++j) s += numbered("  var s", j) + ": uint<16>;\n";
+  for (int k = 0; k < body; ++k)
+    s += numbered("  var t", k) + ": uint<16>;\n";
+  s += "  var k: uint<4>;\n";
+  for (int j = 0; j < 6; ++j)
+    s += numbered("  s", j) + numbered(" = i", j) + ";\n";
+  s += "  k = 0;\n  do {\n    t0 = s0 + s1;\n";
+  for (int k = 1; k < body; ++k) {
+    std::string y = rng.below(100) < 50 && k >= 2
+                        ? numbered("t", (long long)rng.below((std::size_t)k - 1))
+                        : numbered("s", (long long)rng.below(6));
+    s += numbered("    t", k) + " = " + numbered("t", k - 1) + " " +
+         kOps[rng.below(6)] + " " + y + ";\n";
+  }
+  for (int j = 0; j < 6; ++j)
+    s += numbered("    s", j) + numbered(" = t", body - 1 - j) + ";\n";
+  s += "    k = k + 1;\n  } until (k == 3);\n";
+  s += "  o0 = s0 ^ s1;\n  o1 = s2 + s3;\n}\n";
+  return s;
+}
+
+std::string fmtDouble(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// FNV-1a over the controller encoding under every state encoding: state
+/// codes, the raw and the minimized cover, and the controller's PLA area.
+std::string controllerHash(const RtlDesign& d) {
+  std::uint64_t h = kFnvBasis;
+  for (const StateEncoding enc :
+       {StateEncoding::Binary, StateEncoding::Gray, StateEncoding::OneHot}) {
+    const EncodedFsm fsm = encodeController(d.ctrl, d.ic, d.binding, enc);
+    std::string t = numbered("enc ", (long long)fsm.encoding);
+    t += numbered(" bits ", fsm.stateBits);
+    t += " codes";
+    for (std::uint64_t c : fsm.codeOf) t += numbered(" ", (long long)c);
+    t += "\nraw\n" + fsm.logic.str() + "min\n" + fsm.minimizedLogic.str();
+    t += "area " + fmtDouble(estimateArea(d, fsm).controlArea) + "\n";
+    h = fnv1a(t, h);
+  }
+  return hex(h);
+}
+
+/// One controller digest line: "<tag> states=<n> ctrl=<hash>".
+std::string controllerLine(const std::string& tag, const SynthesisResult& r) {
+  return tag + numbered(" states=", (long long)r.design.ctrl.numStates()) +
+         " ctrl=" + controllerHash(r.design);
+}
+
+/// Synthesize without the stage-exit checks; nullopt when synthesis throws.
+std::optional<SynthesisResult> synthesizeUnchecked(const std::string& source,
+                                                   SynthesisOptions so) {
+  so.check = false;
+  try {
+    return Synthesizer(so).synthesizeSource(source);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// Chain, tree and loop designs of 400-1600 ops.
+std::vector<std::pair<std::string, std::string>> scaledSources() {
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const int n : {400, 800, 1600}) {
+    sources.emplace_back(numbered("chain=", n),
+                         chainBdl(n, 7000 + (std::uint64_t)n));
+    sources.emplace_back(numbered("loop=", n),
+                         loopBdl(n, 9000 + (std::uint64_t)n));
+  }
+  return sources;
+}
+
+TEST(Digest, ControllerMatchesCapturedDigest) {
+  std::vector<std::string> actual;
+  for (const auto& d : designs::all()) {
+    const auto r = synthesizeUnchecked(d.source, SynthesisOptions{});
+    ASSERT_TRUE(r.has_value()) << d.name;
+    actual.push_back(controllerLine(std::string("builtin=") + d.name, *r));
+  }
+  for (const auto& [tag, src] : smallSources())
+    for (const fuzz::MatrixPoint& p : distinctPoints()) {
+      SynthesisOptions so = p.toOptions();
+      so.narrow = p.narrow;
+      const auto r = synthesizeUnchecked(src, so);
+      actual.push_back(r ? controllerLine(tag + " " + p.label(), *r)
+                         : tag + " " + p.label() + " error");
+    }
+  for (const auto& [tag, src] : scaledSources()) {
+    const auto r = synthesizeUnchecked(src, SynthesisOptions{});
+    ASSERT_TRUE(r.has_value()) << tag;
+    actual.push_back(controllerLine(tag, *r));
+  }
+  for (const int leaves : {401, 801, 1601}) {
+    SynthesisOptions so;
+    so.check = false;
+    const SynthesisResult r =
+        Synthesizer(so).synthesize(treeDfg(leaves, 57 + (std::uint64_t)leaves));
+    actual.push_back(controllerLine(numbered("tree=", leaves), r));
+  }
+  expectMatchesFixture(actual, "ctrl_digest.txt");
+}
+
+/// The hand mutations of the findings digest; each breaks one contract of
+/// one stage-exit analyzer on a copy of a clean design (or leaves the copy
+/// untouched when the design offers no site for it).
+enum class Mutation {
+  None,
+  ScheduleShift,
+  SwappedBinding,
+  DropRegAction,
+  DropFuAction,
+  DuplicateAction,
+  AlterFuAction,
+  AlterRegAction,
+  RetargetTransition,
+  OverlapLifetimes,
+  MuxTwoSources,
+  UnitTwoOps,
+};
+
+constexpr Mutation kMutations[] = {
+    Mutation::None,          Mutation::ScheduleShift,
+    Mutation::SwappedBinding, Mutation::DropRegAction,
+    Mutation::DropFuAction,  Mutation::DuplicateAction,
+    Mutation::AlterFuAction, Mutation::AlterRegAction,
+    Mutation::RetargetTransition, Mutation::OverlapLifetimes,
+    Mutation::MuxTwoSources, Mutation::UnitTwoOps,
+};
+
+/// The state at the middle of the controller with a non-empty action list
+/// `member` (nullptr when there is none).
+template <class Member>
+CtrlState* middleStateWith(Controller& ctrl, Member member) {
+  std::vector<CtrlState*> with;
+  for (CtrlState& st : ctrl.states)
+    if (!(st.*member).empty()) with.push_back(&st);
+  return with.empty() ? nullptr : with[with.size() / 2];
+}
+
+void mutate(RtlDesign& d, Mutation m, const OpLatencyModel& lat) {
+  Controller& ctrl = d.ctrl;
+  switch (m) {
+    case Mutation::None:
+      return;
+    case Mutation::ScheduleShift:
+      (void)injectScheduleShift(d, lat);
+      return;
+    case Mutation::SwappedBinding:
+      (void)injectSwappedBinding(d, lat);
+      return;
+    case Mutation::DropRegAction:
+      if (CtrlState* st = middleStateWith(ctrl, &CtrlState::regActions))
+        st->regActions.erase(st->regActions.begin());
+      return;
+    case Mutation::DropFuAction:
+      if (CtrlState* st = middleStateWith(ctrl, &CtrlState::fuActions))
+        st->fuActions.pop_back();
+      return;
+    case Mutation::DuplicateAction:
+      if (CtrlState* st = middleStateWith(ctrl, &CtrlState::fuActions))
+        st->fuActions.push_back(st->fuActions.front());
+      if (CtrlState* st = middleStateWith(ctrl, &CtrlState::portActions))
+        st->portActions.push_back(st->portActions.back());
+      return;
+    case Mutation::AlterFuAction:
+      if (CtrlState* st = middleStateWith(ctrl, &CtrlState::fuActions)) {
+        FuAction& fa = st->fuActions.front();
+        const int legs = d.ic.fuInput[(std::size_t)fa.fu][0].legs();
+        if (legs > 1)
+          fa.muxSel[0] = (fa.muxSel[0] + 1) % legs;
+        else
+          fa.width += 1;
+      }
+      return;
+    case Mutation::AlterRegAction:
+      if (CtrlState* st = middleStateWith(ctrl, &CtrlState::regActions)) {
+        RegAction& ra = st->regActions.back();
+        const int legs = d.ic.regInput[(std::size_t)ra.reg].legs();
+        ra.muxSel = legs > 1 ? (ra.muxSel + 1) % legs : ra.muxSel;
+        if (legs <= 1) ra.reg = (ra.reg + 1) % (int)d.ic.regInput.size();
+      }
+      return;
+    case Mutation::RetargetTransition:
+      for (std::size_t s = ctrl.states.size() / 2; s < ctrl.states.size();
+           ++s) {
+        CtrlState& st = ctrl.states[s];
+        if (st.halt || st.conditional) continue;
+        st.next = ctrl.initial;
+        return;
+      }
+      return;
+    case Mutation::OverlapLifetimes: {
+      const auto& items = d.lifetimes.items;
+      for (std::size_t i = 0; i < items.size(); ++i)
+        for (std::size_t j = i + 1; j < items.size(); ++j)
+          if (items[i].live.overlaps(items[j].live) &&
+              d.regs.regOfItem[i] != d.regs.regOfItem[j] &&
+              d.regs.regOfItem[i] >= 0) {
+            d.regs.regOfItem[j] = d.regs.regOfItem[i];
+            return;
+          }
+      return;
+    }
+    case Mutation::MuxTwoSources: {
+      auto& transfers = d.ic.transfers;
+      if (transfers.empty()) return;
+      Transfer t = transfers[transfers.size() / 2];
+      t.src = Source{};
+      t.src.kind = Source::Kind::Const;
+      t.src.imm = 12345;
+      t.src.rootWidth = t.width;
+      transfers.push_back(t);
+      d.ic.busOfTransfer.push_back(d.ic.busOfTransfer.empty()
+                                       ? 0
+                                       : d.ic.busOfTransfer.back());
+      return;
+    }
+    case Mutation::UnitTwoOps:
+      // Rebind the later of two unit-bound ops issued in the same step of
+      // one block onto the earlier one's unit.
+      for (const Block& blk : d.fn.blocks()) {
+        std::vector<int>& fuOf = d.binding.fuOfOp[blk.id.index()];
+        const std::vector<int>& step = d.sched.of(blk.id).step;
+        for (std::size_t i = 0; i < fuOf.size(); ++i)
+          for (std::size_t j = i + 1; j < fuOf.size(); ++j)
+            if (fuOf[i] >= 0 && fuOf[j] >= 0 && fuOf[i] != fuOf[j] &&
+                step[i] == step[j]) {
+              fuOf[j] = fuOf[i];
+              return;
+            }
+      }
+      return;
+  }
+}
+
+/// Every finding in insertion order, then the rendered (sorted) report.
+std::string reportText(const CheckReport& rep) {
+  std::string t;
+  for (const CheckDiag& d : rep.all()) t += d.str() + "\n";
+  return t + rep.render();
+}
+
+/// One findings digest line per mutation of one design:
+/// "<tag> <mutation> errors=<n> warnings=<n> check=<hash>".
+void checkLines(const std::string& tag, const SynthesisResult& clean,
+                const SynthesisOptions& so, std::vector<std::string>& out) {
+  for (const Mutation m : kMutations) {
+    RtlDesign d = clean.design;
+    mutate(d, m, so.latencies);
+    std::uint64_t h = kFnvBasis;
+    std::size_t errors = 0, warnings = 0;
+    auto fold = [&](const CheckReport& rep) {
+      h = fnv1a(reportText(rep), h);
+      errors += rep.errorCount();
+      warnings += rep.warningCount();
+    };
+    {
+      CheckReport rep;
+      checkSchedule(d.fn, d.sched, so.resources, so.latencies, rep);
+      fold(rep);
+    }
+    {
+      CheckReport rep;
+      checkBinding(d.fn, d.sched, d.lifetimes, d.regs, d.binding, d.ic, d.lib,
+                   so.latencies, rep);
+      fold(rep);
+    }
+    {
+      CheckReport rep;
+      checkController(d.fn, d.sched, d.ctrl, d.ic, d.binding, so.latencies,
+                      rep);
+      fold(rep);
+    }
+    {
+      CheckReport rep;
+      TimingLintOptions topt;
+      topt.clockNs = clean.timing.cycleTime;
+      checkTiming(d, topt, rep);
+      fold(rep);
+    }
+    out.push_back(tag + numbered(" m", (long long)m) +
+                  numbered(" errors=", (long long)errors) +
+                  numbered(" warnings=", (long long)warnings) +
+                  " check=" + hex(h));
+  }
+}
+
+TEST(Digest, CheckFindingsMatchCapturedDigest) {
+  std::vector<std::string> actual;
+  for (const auto& d : designs::all()) {
+    for (const bool multicycle : {false, true}) {
+      SynthesisOptions so;
+      if (multicycle) so.latencies = OpLatencyModel::multiCycle();
+      const auto r = synthesizeUnchecked(d.source, so);
+      ASSERT_TRUE(r.has_value()) << d.name;
+      checkLines(std::string("builtin=") + d.name +
+                     (multicycle ? " lat=multi" : " lat=unit"),
+                 *r, so, actual);
+    }
+  }
+  for (const auto& [tag, src] : smallSources())
+    for (const fuzz::MatrixPoint& p : distinctPoints()) {
+      SynthesisOptions so = p.toOptions();
+      so.narrow = p.narrow;
+      const auto r = synthesizeUnchecked(src, so);
+      if (r)
+        checkLines(tag + " " + p.label(), *r, so, actual);
+      else
+        actual.push_back(tag + " " + p.label() + " error");
+    }
+  for (const int n : {400, 800}) {
+    for (const bool multicycle : {false, true}) {
+      SynthesisOptions so;
+      if (multicycle) so.latencies = OpLatencyModel::multiCycle();
+      const std::string lat = multicycle ? " lat=multi" : " lat=unit";
+      const auto chain =
+          synthesizeUnchecked(chainBdl(n, 7000 + (std::uint64_t)n), so);
+      ASSERT_TRUE(chain.has_value());
+      checkLines(numbered("chain=", n) + lat, *chain, so, actual);
+      const auto loop =
+          synthesizeUnchecked(loopBdl(n, 9000 + (std::uint64_t)n), so);
+      ASSERT_TRUE(loop.has_value());
+      checkLines(numbered("loop=", n) + lat, *loop, so, actual);
+    }
+  }
+  expectMatchesFixture(actual, "check_digest.txt");
 }
 
 }  // namespace
