@@ -13,6 +13,7 @@
 #include "ctrl/encode.h"
 #include "ctrl/microcode.h"
 #include "ctrl/sop.h"
+#include "sop_reference.h"
 
 namespace mphls {
 namespace {
@@ -76,6 +77,83 @@ TEST(Sop, MultiOutputMergeRequiresIdenticalOutputs) {
   SopCover min = minimizeCover(cover);
   EXPECT_EQ(min.termCount(), 2);  // outputs differ: cannot merge
   EXPECT_TRUE(coversEquivalent(cover, min));
+}
+
+/// Seeded synthetic cover in which merges and absorbs both fire: cubes
+/// over a few output patterns (so outputs often match), distance-1
+/// neighbours of earlier cubes, exact duplicates, and absorb chains (a cube,
+/// then copies with literals freed and outputs added, each covering the
+/// one before, placed in either order).
+SopCover syntheticCover(std::uint64_t seed, int inputs) {
+  std::uint64_t st = seed * 0x9E3779B97F4A7C15ULL + 1;
+  auto below = [&](std::uint64_t n) {
+    st ^= st << 13;
+    st ^= st >> 7;
+    st ^= st << 17;
+    return st % n;
+  };
+  SopCover c;
+  c.numInputs = inputs;
+  c.numOutputs = 1 + (int)below(4);
+  std::vector<std::vector<std::uint8_t>> patterns;
+  for (int k = 0; k < 3; ++k) {
+    std::vector<std::uint8_t> o((std::size_t)c.numOutputs);
+    for (auto& b : o) b = (std::uint8_t)below(2);
+    patterns.push_back(o);
+  }
+  const int n = 4 + (int)below(40);
+  for (int k = 0; k < n; ++k) {
+    const std::uint64_t kind = c.cubes.empty() ? 0 : below(10);
+    if (kind <= 3) {  // fresh cube
+      Cube q;
+      q.in.resize((std::size_t)inputs);
+      for (auto& l : q.in) l = (std::uint8_t)(below(5) == 0 ? 2 : below(2));
+      q.out = patterns[below(patterns.size())];
+      c.cubes.push_back(q);
+    } else if (kind <= 6) {  // distance-1 neighbour of an earlier cube
+      Cube q = c.cubes[below(c.cubes.size())];
+      std::size_t i = below((std::size_t)inputs);
+      if (q.in[i] == 2) q.in[i] = 0;
+      else q.in[i] ^= 1;
+      c.cubes.push_back(q);
+    } else if (kind == 7) {  // duplicate
+      c.cubes.push_back(c.cubes[below(c.cubes.size())]);
+    } else {  // absorb chain of two or three links
+      Cube q = c.cubes[below(c.cubes.size())];
+      std::vector<Cube> chain{q};
+      for (int link = 0; link < 1 + (int)below(2); ++link) {
+        q.in[below((std::size_t)inputs)] = 2;
+        q.out[below(q.out.size())] = 1;
+        chain.push_back(q);
+      }
+      if (below(2) == 0) std::reverse(chain.begin(), chain.end());
+      c.cubes.insert(c.cubes.end(), chain.begin(), chain.end());
+    }
+  }
+  return c;
+}
+
+TEST(Sop, MinimizerMatchesReferenceOnSyntheticCovers) {
+  int merged = 0, absorbed = 0, both = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    // Mostly narrow covers; every tenth one spans two input words.
+    const int inputs =
+        seed % 10 == 0 ? 66 + (int)(seed % 7) : 2 + (int)(seed % 9);
+    const SopCover cover = syntheticCover(seed, inputs);
+    int merges = 0, absorbs = 0;
+    const SopCover want = minimizeCoverReference(cover, &merges, &absorbs);
+    const SopCover got = minimizeCover(cover);
+    ASSERT_EQ(got.str(), want.str()) << "seed " << seed;
+    ASSERT_EQ(got.numInputs, want.numInputs);
+    ASSERT_EQ(got.numOutputs, want.numOutputs);
+    const bool didMerge = merges > 0, didAbsorb = absorbs > 0;
+    merged += didMerge;
+    absorbed += didAbsorb;
+    both += didMerge && didAbsorb;
+  }
+  EXPECT_GT(merged, 100);
+  EXPECT_GT(absorbed, 100);
+  EXPECT_GT(both, 50);
 }
 
 // ----------------------------------------------------------------- FSM
