@@ -60,6 +60,26 @@ struct Source {
   }
 };
 
+/// Hash consistent with Source::operator==.
+[[nodiscard]] inline std::uint64_t hashSource(const Source& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+    h ^= h >> 29;
+  };
+  mix((std::uint64_t)s.kind);
+  mix((std::uint64_t)(std::int64_t)s.id);
+  mix((std::uint64_t)s.imm);
+  mix((std::uint64_t)(std::int64_t)s.rootWidth);
+  for (const WireXform& x : s.xform) {
+    mix((std::uint64_t)x.kind);
+    mix((std::uint64_t)x.imm);
+    mix((std::uint64_t)(std::int64_t)x.width);
+  }
+  return h;
+}
+
 /// Dense int ids for sources: equal sources get equal ids, numbered in
 /// first-seen order.
 class SourceIds {
@@ -70,25 +90,9 @@ class SourceIds {
   [[nodiscard]] int size() const { return (int)ids_.size(); }
 
  private:
-  /// Hash consistent with Source::operator==.
   struct Hash {
     std::size_t operator()(const Source& s) const {
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      auto mix = [&h](std::uint64_t x) {
-        h ^= x;
-        h *= 0x100000001b3ULL;
-        h ^= h >> 29;
-      };
-      mix((std::uint64_t)s.kind);
-      mix((std::uint64_t)(std::int64_t)s.id);
-      mix((std::uint64_t)s.imm);
-      mix((std::uint64_t)(std::int64_t)s.rootWidth);
-      for (const WireXform& x : s.xform) {
-        mix((std::uint64_t)x.kind);
-        mix((std::uint64_t)x.imm);
-        mix((std::uint64_t)(std::int64_t)x.width);
-      }
-      return (std::size_t)h;
+      return (std::size_t)hashSource(s);
     }
   };
   std::unordered_map<Source, int, Hash> ids_;

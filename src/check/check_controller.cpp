@@ -1,8 +1,10 @@
 #include "check/check_controller.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
+#include <cstdint>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace mphls {
@@ -15,6 +17,12 @@ std::string stateWhere(const Controller& ctrl, std::size_t s) {
   if (s < ctrl.numStates() && !ctrl.states[s].halt)
     oss << " (b" << ctrl.states[s].block.get() << " step "
         << ctrl.states[s].step << ")";
+  return oss.str();
+}
+
+std::string stepWhere(const Block& blk, int step) {
+  std::ostringstream oss;
+  oss << "block " << blk.name << " step " << step;
   return oss.str();
 }
 
@@ -42,25 +50,26 @@ StateId firstStateOf(const Function& fn, const Schedule& sched,
   return ctrl.haltState;
 }
 
-// Sortable/printable keys for the three action families.
+// Printable keys for the three action families, rendered from the typed
+// keys below only for a state whose actions disagree.
 
-std::string fuActionKey(const FuAction& a) {
+std::string fuActionKey(const std::array<int, 7>& k) {
   std::ostringstream oss;
-  oss << "fu" << a.fu << " " << opName(a.kind) << " sel(" << a.muxSel[0]
-      << "," << a.muxSel[1] << "," << a.muxSel[2] << ") width " << a.width
-      << " cycles " << a.cycles;
+  oss << "fu" << k[0] << " " << opName((OpKind)k[1]) << " sel(" << k[2]
+      << "," << k[3] << "," << k[4] << ") width " << k[5] << " cycles "
+      << k[6];
   return oss.str();
 }
 
-std::string regActionKey(const RegAction& a) {
+std::string regActionKey(const std::array<int, 2>& k) {
   std::ostringstream oss;
-  oss << "r" << a.reg << " <= leg " << a.muxSel;
+  oss << "r" << k[0] << " <= leg " << k[1];
   return oss.str();
 }
 
-std::string portActionKey(const PortAction& a) {
+std::string portActionKey(const std::array<int, 2>& k) {
   std::ostringstream oss;
-  oss << "port " << a.port << " <= leg " << a.muxSel;
+  oss << "port " << k[0] << " <= leg " << k[1];
   return oss.str();
 }
 
@@ -92,6 +101,62 @@ void diffActions(const Controller& ctrl, std::size_t stateIdx,
   }
 }
 
+// Typed keys for the same action fields the rendered keys print.
+
+using FuKey = std::array<int, 7>;  ///< fu, kind, sel[3], width, cycles
+using LegKey = std::array<int, 2>;  ///< reg or port, mux leg
+
+FuKey fuKey(const FuAction& a) {
+  return {a.fu,        (int)a.kind, a.muxSel[0], a.muxSel[1],
+          a.muxSel[2], a.width,     a.cycles};
+}
+LegKey regKey(const RegAction& a) { return {a.reg, a.muxSel}; }
+LegKey portKey(const PortAction& a) { return {a.port, a.muxSel}; }
+
+template <class Key>
+using StateKey = std::pair<std::size_t, Key>;  ///< (state index, action)
+
+/// Walks the required actions of one family, sorted by (state, key), state
+/// by state alongside the controller.
+template <class Key>
+class ActionCursor {
+ public:
+  explicit ActionCursor(const std::vector<StateKey<Key>>& want)
+      : want_(want) {}
+
+  /// Compare state `s`'s asserted `actions` with the required ones as
+  /// sorted typed keys; on a difference, diff the rendered keys to report
+  /// each missing and extra action.
+  template <class Action, class TypedKey, class RenderedKey>
+  void check(const Controller& ctrl, std::size_t s,
+             const std::vector<Action>& actions, TypedKey typed,
+             RenderedKey rendered, std::string_view what,
+             CheckReport& report) {
+    const std::size_t begin = at_;
+    while (at_ < want_.size() && want_[at_].first == s) ++at_;
+    bool same = at_ - begin == actions.size();
+    if (same && !actions.empty()) {
+      have_.clear();
+      for (const Action& a : actions) have_.push_back(typed(a));
+      std::sort(have_.begin(), have_.end());
+      for (std::size_t k = 0; k < have_.size() && same; ++k)
+        same = have_[k] == want_[begin + k].second;
+    }
+    if (same) return;
+    std::vector<std::string> expected, actual;
+    for (std::size_t k = begin; k < at_; ++k)
+      expected.push_back(rendered(want_[k].second));
+    for (const Action& a : actions) actual.push_back(rendered(typed(a)));
+    diffActions(ctrl, s, std::move(expected), std::move(actual), what,
+                report);
+  }
+
+ private:
+  const std::vector<StateKey<Key>>& want_;
+  std::size_t at_ = 0;
+  std::vector<Key> have_;
+};
+
 }  // namespace
 
 void checkController(const Function& fn, const Schedule& sched,
@@ -116,17 +181,15 @@ void checkController(const Function& fn, const Schedule& sched,
     const BlockSchedule& bs = sched.of(blk.id);
     for (int s = 0; s < bs.numSteps; ++s) {
       StateId sid = ctrl.stateAt(blk.id, s);
-      std::ostringstream where;
-      where << "block " << blk.name << " step " << s;
       if (!inRange(ctrl, sid)) {
-        report.error("ctrl.step-uncovered", where.str(),
+        report.error("ctrl.step-uncovered", stepWhere(blk, s),
                      "scheduled control step has no FSM state");
         continue;
       }
       const CtrlState& st = ctrl.states[sid.index()];
       if (st.halt || st.block != blk.id || st.step != s) {
         report.error("ctrl.state-binding", stateWhere(ctrl, sid.index()),
-                     "state does not belong to " + where.str());
+                     "state does not belong to " + stepWhere(blk, s));
         continue;
       }
       // Expected successor(s).
@@ -201,27 +264,30 @@ void checkController(const Function& fn, const Schedule& sched,
   }
 
   // --- reachability ------------------------------------------------------
-  auto successors = [&](std::size_t s) {
-    std::vector<std::size_t> out;
+  // Successors per state (at most two), then predecessors in CSR form.
+  std::vector<std::array<std::size_t, 2>> succ(n);
+  std::vector<std::uint8_t> numSucc(n, 0);
+  for (std::size_t s = 0; s < n; ++s) {
     const CtrlState& st = ctrl.states[s];
-    if (st.halt) return out;
+    if (st.halt) continue;
+    auto add = [&](StateId t) {
+      if (inRange(ctrl, t)) succ[s][numSucc[s]++] = t.index();
+    };
     if (st.conditional) {
-      if (inRange(ctrl, st.nextTaken)) out.push_back(st.nextTaken.index());
-      if (inRange(ctrl, st.nextNot)) out.push_back(st.nextNot.index());
-    } else if (inRange(ctrl, st.next)) {
-      out.push_back(st.next.index());
+      add(st.nextTaken);
+      add(st.nextNot);
+    } else {
+      add(st.next);
     }
-    return out;
-  };
+  }
 
   std::vector<char> reach(n, 0);
-  std::deque<std::size_t> work{ctrl.initial.index()};
+  std::vector<std::size_t> work{ctrl.initial.index()};
   reach[ctrl.initial.index()] = 1;
-  while (!work.empty()) {
-    std::size_t s = work.front();
-    work.pop_front();
-    for (std::size_t t : successors(s))
-      if (!reach[t]) {
+  for (std::size_t head = 0; head < work.size(); ++head) {
+    const std::size_t s = work[head];
+    for (std::uint8_t k = 0; k < numSucc[s]; ++k)
+      if (const std::size_t t = succ[s][k]; !reach[t]) {
         reach[t] = 1;
         work.push_back(t);
       }
@@ -232,17 +298,24 @@ void checkController(const Function& fn, const Schedule& sched,
                    "state is unreachable from the initial state");
 
   // Reverse reachability to halt.
-  std::vector<std::vector<std::size_t>> preds(n);
+  std::vector<std::size_t> predStart(n + 1, 0), preds;
   for (std::size_t s = 0; s < n; ++s)
-    for (std::size_t t : successors(s)) preds[t].push_back(s);
+    for (std::uint8_t k = 0; k < numSucc[s]; ++k) ++predStart[succ[s][k] + 1];
+  for (std::size_t s = 0; s < n; ++s) predStart[s + 1] += predStart[s];
+  preds.resize(predStart[n]);
+  {
+    std::vector<std::size_t> fill(predStart.begin(), predStart.end() - 1);
+    for (std::size_t s = 0; s < n; ++s)
+      for (std::uint8_t k = 0; k < numSucc[s]; ++k)
+        preds[fill[succ[s][k]]++] = s;
+  }
   std::vector<char> live(n, 0);
   work.assign(1, ctrl.haltState.index());
   live[ctrl.haltState.index()] = 1;
-  while (!work.empty()) {
-    std::size_t s = work.front();
-    work.pop_front();
-    for (std::size_t p : preds[s])
-      if (!live[p]) {
+  for (std::size_t head = 0; head < work.size(); ++head) {
+    const std::size_t s = work[head];
+    for (std::size_t k = predStart[s]; k < predStart[s + 1]; ++k)
+      if (const std::size_t p = preds[k]; !live[p]) {
         live[p] = 1;
         work.push_back(p);
       }
@@ -255,8 +328,11 @@ void checkController(const Function& fn, const Schedule& sched,
   // --- datapath actions --------------------------------------------------
   // Reconstruct the action set each state must assert from the schedule and
   // the interconnect's per-op wiring (the same recipe buildController uses),
-  // then require the controller to match it exactly.
-  std::vector<std::vector<std::string>> wantFu(n), wantReg(n), wantPort(n);
+  // then require the controller to match it exactly. The sets are compared
+  // as sorted typed keys; a state whose sets differ is re-diffed on the
+  // rendered keys, which names each missing and extra action.
+  std::vector<StateKey<FuKey>> wantFu;
+  std::vector<StateKey<LegKey>> wantReg, wantPort;
   bool wiringUsable = ic.opWiring.size() == fn.numBlocks();
   for (const auto& blk : fn.blocks()) {
     if (!wiringUsable) break;
@@ -280,39 +356,37 @@ void checkController(const Function& fn, const Schedule& sched,
         fa.width = o.result.valid() ? fn.value(o.result).width : 1;
         fa.cycles = latencies.of(o.kind);
         for (int p = 0; p < 3; ++p) fa.muxSel[p] = ow.fuMuxSel[p];
-        wantFu[sid.index()].push_back(fuActionKey(fa));
+        wantFu.push_back({sid.index(), fuKey(fa)});
         doneStep = bs.step[i] + fa.cycles - 1;
       }
       if (ow.destReg >= 0 || ow.destPort >= 0) {
         StateId did = ctrl.stateAt(blk.id, doneStep);
         if (!inRange(ctrl, did)) {
-          std::ostringstream where;
-          where << "block " << blk.name << " step " << doneStep;
-          report.error("ctrl.step-uncovered", where.str(),
+          report.error("ctrl.step-uncovered", stepWhere(blk, doneStep),
                        "operation completes in a step with no FSM state");
           continue;
         }
         if (ow.destReg >= 0)
-          wantReg[did.index()].push_back(
-              regActionKey({ow.destReg, ow.destRegMuxSel}));
+          wantReg.push_back({did.index(), {ow.destReg, ow.destRegMuxSel}});
         if (ow.destPort >= 0)
-          wantPort[did.index()].push_back(
-              portActionKey({ow.destPort, ow.destPortMuxSel}));
+          wantPort.push_back({did.index(), {ow.destPort, ow.destPortMuxSel}});
       }
     }
   }
   if (wiringUsable) {
+    std::sort(wantFu.begin(), wantFu.end());
+    std::sort(wantReg.begin(), wantReg.end());
+    std::sort(wantPort.begin(), wantPort.end());
+    ActionCursor<FuKey> fuCur(wantFu);
+    ActionCursor<LegKey> regCur(wantReg), portCur(wantPort);
     for (std::size_t s = 0; s < n; ++s) {
       const CtrlState& st = ctrl.states[s];
-      std::vector<std::string> fuKeys, regKeys, portKeys;
-      for (const FuAction& a : st.fuActions) fuKeys.push_back(fuActionKey(a));
-      for (const RegAction& a : st.regActions)
-        regKeys.push_back(regActionKey(a));
-      for (const PortAction& a : st.portActions)
-        portKeys.push_back(portActionKey(a));
-      diffActions(ctrl, s, wantFu[s], fuKeys, "FU operation", report);
-      diffActions(ctrl, s, wantReg[s], regKeys, "register load", report);
-      diffActions(ctrl, s, wantPort[s], portKeys, "port write", report);
+      fuCur.check(ctrl, s, st.fuActions, fuKey, fuActionKey, "FU operation",
+                  report);
+      regCur.check(ctrl, s, st.regActions, regKey, regActionKey,
+                   "register load", report);
+      portCur.check(ctrl, s, st.portActions, portKey, portActionKey,
+                    "port write", report);
     }
   }
 }

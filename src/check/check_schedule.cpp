@@ -1,8 +1,8 @@
 #include "check/check_schedule.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <vector>
 
@@ -78,19 +78,24 @@ void checkBlock(const Block& blk, const BlockDeps& deps,
   // (matching UsageTracker/validateBlockSchedule accounting).
   if (limits.isUnlimited()) return;
   const int steps = std::max(bs.numSteps, 1);
-  std::map<FuClass, std::vector<int>> usage;
+  // Per-step usage by bucket, indexed by FuClass; a bucket no op charges
+  // stays empty and is skipped, so buckets report in FuClass order.
+  std::array<std::vector<int>, (std::size_t)FuClass::Alu + 1> usage;
   for (std::size_t i = 0; i < deps.numOps(); ++i) {
     FuClass c = scheduleClassOf(deps, i);
     if (c == FuClass::None) continue;
     FuClass bucket =
         (limits.universal && c != FuClass::Move) ? FuClass::None : c;
-    auto& vec = usage[bucket];
+    auto& vec = usage[(std::size_t)bucket];
     if (vec.empty()) vec.assign((std::size_t)steps, 0);
     int span = c == FuClass::Move ? 1 : deps.duration(i);
     for (int s = bs.step[i]; s < bs.step[i] + span && s < steps; ++s)
       ++vec[(std::size_t)s];
   }
-  for (const auto& [bucket, vec] : usage) {
+  for (std::size_t b = 0; b < usage.size(); ++b) {
+    const std::vector<int>& vec = usage[b];
+    if (vec.empty()) continue;
+    const FuClass bucket = (FuClass)b;
     int limit;
     if (limits.universal && bucket == FuClass::None) {
       limit = limits.universalCount;

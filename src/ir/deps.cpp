@@ -1,7 +1,8 @@
 #include "ir/deps.h"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "common/key_map.h"
 
 namespace mphls {
 
@@ -10,11 +11,18 @@ BlockDeps::BlockDeps(const Function& fn, const Block& block,
     : fn_(&fn), latencies_(std::move(latencies)) {
   opIds_ = block.ops;
   n_ = opIds_.size();
-  succs_.resize(n_);
-  preds_.resize(n_);
+  // Edges in insertion order; a repeated (from, to) pair is skipped to
+  // keep degrees meaningful.
+  KeySet edgeSeen;
+  auto addEdge = [&](std::size_t from, std::size_t to, DepKind kind) {
+    if (from == to ||
+        !edgeSeen.emplace((std::uint64_t)from << 32 | to, 0).second)
+      return;
+    edges_.push_back({from, to, kind});
+  };
 
   // Map each value defined in this block to its defining node index.
-  std::unordered_map<std::uint32_t, std::size_t> defOf;
+  KeyMap<std::size_t> defOf;
   for (std::size_t i = 0; i < n_; ++i) {
     const Op& o = fn.op(opIds_[i]);
     if (o.result.valid()) defOf.emplace(o.result.get(), i);
@@ -24,11 +32,11 @@ BlockDeps::BlockDeps(const Function& fn, const Block& block,
   for (std::size_t i = 0; i < n_; ++i) {
     const Op& o = fn.op(opIds_[i]);
     for (ValueId a : o.args) {
-      auto it = defOf.find(a.get());
-      MPHLS_CHECK(it != defOf.end(),
+      const std::size_t* def = defOf.find(a.get());
+      MPHLS_CHECK(def != nullptr,
                   "value v" << a.get() << " used but not defined in block "
                             << block.name);
-      addEdge(it->second, i, DepKind::Data);
+      addEdge(*def, i, DepKind::Data);
     }
   }
 
@@ -38,15 +46,15 @@ BlockDeps::BlockDeps(const Function& fn, const Block& block,
     std::size_t lastStore = SIZE_MAX;
     std::vector<std::size_t> loadsSinceStore;
   };
-  std::unordered_map<std::uint32_t, VarState> vs;
+  KeyMap<VarState> vs;
   for (std::size_t i = 0; i < n_; ++i) {
     const Op& o = fn.op(opIds_[i]);
     if (o.kind == OpKind::LoadVar) {
-      auto& st = vs[o.var.get()];
+      auto& st = *vs.emplace(o.var.get(), {}).first;
       if (st.lastStore != SIZE_MAX) addEdge(st.lastStore, i, DepKind::VarRaw);
       st.loadsSinceStore.push_back(i);
     } else if (o.kind == OpKind::StoreVar) {
-      auto& st = vs[o.var.get()];
+      auto& st = *vs.emplace(o.var.get(), {}).first;
       for (std::size_t ld : st.loadsSinceStore)
         addEdge(ld, i, DepKind::VarWar);
       if (st.lastStore != SIZE_MAX) addEdge(st.lastStore, i, DepKind::VarWaw);
@@ -56,13 +64,15 @@ BlockDeps::BlockDeps(const Function& fn, const Block& block,
   }
 
   // Port write ordering (two writes to the same port must stay ordered).
-  std::unordered_map<std::uint32_t, std::size_t> lastWrite;
+  KeyMap<std::size_t> lastWrite;
   for (std::size_t i = 0; i < n_; ++i) {
     const Op& o = fn.op(opIds_[i]);
     if (o.kind == OpKind::WritePort) {
-      auto it = lastWrite.find(o.port.get());
-      if (it != lastWrite.end()) addEdge(it->second, i, DepKind::PortWaw);
-      lastWrite[o.port.get()] = i;
+      auto [last, fresh] = lastWrite.emplace(o.port.get(), i);
+      if (!fresh) {
+        addEdge(*last, i, DepKind::PortWaw);
+        *last = i;
+      }
     }
   }
 
@@ -75,15 +85,14 @@ BlockDeps::BlockDeps(const Function& fn, const Block& block,
   {
     // Root load (node index) of each value defined in this block, walking
     // through free wiring ops; SIZE_MAX when not load-rooted.
-    std::unordered_map<std::uint32_t, std::size_t> loadRootOfValue;
     auto rootLoad = [&](ValueId v) -> std::size_t {
       const Op* def = &fn.defOf(v);
       while (kindFlowsFree(def->kind) && def->kind != OpKind::LoadVar &&
              !def->args.empty())
         def = &fn.defOf(def->args[0]);
       if (def->kind != OpKind::LoadVar) return SIZE_MAX;
-      auto it = defOf.find(def->result.get());
-      return it == defOf.end() ? SIZE_MAX : it->second;
+      const std::size_t* ld = defOf.find(def->result.get());
+      return ld == nullptr ? SIZE_MAX : *ld;
     };
     // A store that writes a load's value straight back into the same
     // variable (store v <- load v, nothing between) leaves the register
@@ -102,19 +111,20 @@ BlockDeps::BlockDeps(const Function& fn, const Block& block,
         def = &fn.defOf(def->args[0]);
       return def->result.get() == fn.op(opIds_[ld]).result.get();
     };
-    std::unordered_map<std::uint32_t, std::vector<std::size_t>> storesOfVar;
+    KeyMap<std::vector<std::size_t>> storesOfVar;
     for (std::size_t k = 0; k < n_; ++k) {
       const Op& o = fn.op(opIds_[k]);
-      if (o.kind == OpKind::StoreVar) storesOfVar[o.var.get()].push_back(k);
+      if (o.kind == OpKind::StoreVar)
+        storesOfVar.emplace(o.var.get(), {}).first->push_back(k);
     }
     // First store after each load that actually changes the register.
     std::vector<std::size_t> invalidatingStoreOfLoad(n_, SIZE_MAX);
     for (std::size_t k = 0; k < n_; ++k) {
       const Op& o = fn.op(opIds_[k]);
       if (o.kind != OpKind::LoadVar) continue;
-      auto it = storesOfVar.find(o.var.get());
-      if (it == storesOfVar.end()) continue;
-      for (std::size_t st : it->second) {
+      const std::vector<std::size_t>* stores = storesOfVar.find(o.var.get());
+      if (stores == nullptr) continue;
+      for (std::size_t st : *stores) {
         if (st < k || storesLoadBack(st, k)) continue;
         invalidatingStoreOfLoad[k] = st;
         break;
@@ -131,27 +141,26 @@ BlockDeps::BlockDeps(const Function& fn, const Block& block,
       }
     }
   }
-}
 
-void BlockDeps::addEdge(std::size_t from, std::size_t to, DepKind kind) {
-  if (from == to) return;
-  // Skip duplicate edges between the same pair to keep degrees meaningful.
-  if (std::find(succs_[from].begin(), succs_[from].end(), to) !=
-      succs_[from].end())
-    return;
-  edges_.push_back({from, to, kind});
-  succs_[from].push_back(to);
-  preds_[to].push_back(from);
+  // Compressed rows, each in edge insertion order.
+  auto rows = [&](auto endOf, std::vector<std::size_t>& start,
+                  std::vector<std::size_t>& adj, auto otherEnd) {
+    start.assign(n_ + 1, 0);
+    for (const DepEdge& e : edges_) ++start[endOf(e) + 1];
+    for (std::size_t i = 0; i < n_; ++i) start[i + 1] += start[i];
+    adj.resize(edges_.size());
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    for (const DepEdge& e : edges_) adj[fill[endOf(e)]++] = otherEnd(e);
+  };
+  rows([](const DepEdge& e) { return e.from; }, succStart_, succAdj_,
+       [](const DepEdge& e) { return e.to; });
+  rows([](const DepEdge& e) { return e.to; }, predStart_, predAdj_,
+       [](const DepEdge& e) { return e.from; });
 }
 
 std::vector<std::size_t> BlockDeps::topoOrder() const {
   std::vector<std::size_t> indeg(n_, 0);
-  for (std::size_t i = 0; i < n_; ++i)
-    for (std::size_t s : succs_[i]) {
-      (void)s;
-      // counted below
-    }
-  for (std::size_t i = 0; i < n_; ++i) indeg[i] = preds_[i].size();
+  for (std::size_t i = 0; i < n_; ++i) indeg[i] = preds(i).size();
   std::vector<std::size_t> order;
   order.reserve(n_);
   std::vector<std::size_t> ready;
@@ -162,7 +171,7 @@ std::vector<std::size_t> BlockDeps::topoOrder() const {
   while (cursor < ready.size()) {
     std::size_t i = ready[cursor++];
     order.push_back(i);
-    for (std::size_t s : succs_[i])
+    for (std::size_t s : succs(i))
       if (--indeg[s] == 0) ready.push_back(s);
   }
   MPHLS_CHECK(order.size() == n_, "dependence graph has a cycle");
@@ -196,23 +205,21 @@ bool kindFlowsFree(OpKind k) {
   }
 }
 
+bool opOccupiesSlot(const Function& fn, const Op& o) {
+  if (!o.isSink()) return !kindFlowsFree(o.kind);
+  // A sink chains with the occupying op that (transitively) produces its
+  // stored value; with none in-block it is a stand-alone data move.
+  // Walk the value chain through free ops (casts, constant shifts).
+  const Op* p = &fn.defOf(o.args[0]);
+  while (kindFlowsFree(p->kind) && !p->args.empty())
+    p = &fn.defOf(p->args[0]);
+  return kindFlowsFree(p->kind);  // producer is const/read/load => move
+}
+
 bool BlockDeps::occupiesSlot(std::size_t i) const {
   if (occupiesCache_.empty()) occupiesCache_.assign(n_, -1);
   if (occupiesCache_[i] >= 0) return occupiesCache_[i] != 0;
-
-  const Op& o = op(i);
-  bool result;
-  if (o.isSink()) {
-    // A sink chains with the occupying op that (transitively) produces its
-    // stored value; with none in-block it is a stand-alone data move.
-    // Walk the value chain through free ops (casts, constant shifts).
-    const Op* p = &fn_->defOf(o.args[0]);
-    while (kindFlowsFree(p->kind) && !p->args.empty())
-      p = &fn_->defOf(p->args[0]);
-    result = kindFlowsFree(p->kind);  // producer is const/read/load => move
-  } else {
-    result = !kindFlowsFree(o.kind);
-  }
+  const bool result = opOccupiesSlot(*fn_, op(i));
   occupiesCache_[i] = result ? 1 : 0;
   return result;
 }
@@ -287,7 +294,7 @@ bool BlockDeps::reaches(std::size_t a, std::size_t b) const {
   while (!stack.empty()) {
     std::size_t x = stack.back();
     stack.pop_back();
-    for (std::size_t s : succs_[x]) {
+    for (std::size_t s : succs(x)) {
       if (s == b) return true;
       if (!seen[s]) {
         seen[s] = true;

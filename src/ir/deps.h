@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -36,6 +37,10 @@ struct DepEdge {
 /// Such ops never force their consumer into a later step.
 [[nodiscard]] bool kindFlowsFree(OpKind k);
 
+/// BlockDeps::occupiesSlot for one op, without building a dependence
+/// graph: whether `o` takes a control-step slot of its own.
+[[nodiscard]] bool opOccupiesSlot(const Function& fn, const Op& o);
+
 /// Root value of `v`, looking through free unary wiring ops (casts and
 /// constant shifts): the value that actually occupies a register, port or
 /// constant wire in the datapath.
@@ -50,11 +55,12 @@ class BlockDeps {
 
   [[nodiscard]] std::size_t numOps() const { return n_; }
   [[nodiscard]] const std::vector<DepEdge>& edges() const { return edges_; }
-  [[nodiscard]] const std::vector<std::size_t>& succs(std::size_t i) const {
-    return succs_[i];
+  /// Successors (predecessors) of node `i`, in edge insertion order.
+  [[nodiscard]] std::span<const std::size_t> succs(std::size_t i) const {
+    return {succAdj_.data() + succStart_[i], succStart_[i + 1] - succStart_[i]};
   }
-  [[nodiscard]] const std::vector<std::size_t>& preds(std::size_t i) const {
-    return preds_[i];
+  [[nodiscard]] std::span<const std::size_t> preds(std::size_t i) const {
+    return {predAdj_.data() + predStart_[i], predStart_[i + 1] - predStart_[i]};
   }
   /// The OpId of node `i`.
   [[nodiscard]] OpId opAt(std::size_t i) const { return opIds_[i]; }
@@ -116,10 +122,9 @@ class BlockDeps {
   std::vector<OpId> opIds_;
   std::vector<DepEdge> edges_;
   OpLatencyModel latencies_;
-  std::vector<std::vector<std::size_t>> succs_;
-  std::vector<std::vector<std::size_t>> preds_;
+  /// Adjacency in compressed rows, built from edges_ once it is complete.
+  std::vector<std::size_t> succStart_, succAdj_, predStart_, predAdj_;
 
-  void addEdge(std::size_t from, std::size_t to, DepKind kind);
 };
 
 }  // namespace mphls

@@ -17,11 +17,20 @@ long Schedule::stepsForTrace(const std::vector<BlockId>& trace) const {
   return total;
 }
 
+namespace {
+
+FuClass occupyingClassOf(const Op& o) {
+  return o.isSink() ? FuClass::Move : classOf(o.kind);
+}
+
+}  // namespace
+
 FuClass scheduleClassOf(const BlockDeps& deps, std::size_t i) {
-  if (!deps.occupiesSlot(i)) return FuClass::None;
-  const Op& o = deps.op(i);
-  if (o.isSink()) return FuClass::Move;
-  return classOf(o.kind);
+  return deps.occupiesSlot(i) ? occupyingClassOf(deps.op(i)) : FuClass::None;
+}
+
+FuClass scheduleClassOf(const Function& fn, const Op& o) {
+  return opOccupiesSlot(fn, o) ? occupyingClassOf(o) : FuClass::None;
 }
 
 std::string validateBlockSchedule(const BlockDeps& deps,

@@ -75,6 +75,8 @@ struct Schedule {
 /// The FU class an op is charged against in a schedule: structural moves
 /// map to FuClass::Move, chained sinks and free ops to FuClass::None.
 [[nodiscard]] FuClass scheduleClassOf(const BlockDeps& deps, std::size_t i);
+/// The same for one op of `fn`, without a dependence graph.
+[[nodiscard]] FuClass scheduleClassOf(const Function& fn, const Op& o);
 
 /// ASCII rendering of a block schedule (one line per control step), in the
 /// spirit of the paper's Fig. 2/3/4 schedule drawings.
