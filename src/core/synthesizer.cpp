@@ -35,6 +35,18 @@ std::string opsArg(const Function& fn) {
   return "ops=" + std::to_string(fn.numLiveOps());
 }
 
+/// Detail of a stage-exit span: which check, then the size of its work.
+std::string checkArg(const char* which, const std::string& size) {
+  std::string arg = which;
+  arg += ' ';
+  arg += size;
+  return arg;
+}
+
+std::string statesArg(const Controller& ctrl) {
+  return "states=" + std::to_string(ctrl.numStates());
+}
+
 }  // namespace
 
 long SynthesisResult::latencyFor(
@@ -129,7 +141,9 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     }
   }
   if (options_.check) {
-    obs::TraceSpan span("stage.check", "schedule", &st.check);
+    obs::TraceSpan span(
+        "stage.check", [&] { return checkArg("schedule", opsArg(fn)); },
+        &st.check);
     // Stage exit: schedule legality.
     CheckReport rep;
     checkSchedule(fn, sched,
@@ -178,7 +192,9 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     }
   }
   if (options_.check) {
-    obs::TraceSpan span("stage.check", "binding", &st.check);
+    obs::TraceSpan span(
+        "stage.check", [&] { return checkArg("binding", opsArg(fn)); },
+        &st.check);
     // Stage exit: binding consistency (registers, units, multiplexers).
     CheckReport rep;
     checkBinding(fn, sched, lt, regs, binding, ic, lib, options_.latencies,
@@ -198,7 +214,9 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     MPHLS_CHECK(msg.empty(), "invalid controller: " << msg);
   }
   if (options_.check) {
-    obs::TraceSpan span("stage.check", "controller", &st.check);
+    obs::TraceSpan span(
+        "stage.check",
+        [&] { return checkArg("controller", statesArg(ctrl)); }, &st.check);
     // Stage exit: controller completeness.
     CheckReport rep;
     checkController(fn, sched, ctrl, ic, binding, options_.latencies, rep);
@@ -229,7 +247,10 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     result.timing = estimateTiming(result.design);
   }
   if (options_.check) {
-    obs::TraceSpan span("stage.check", "timing", &st.check);
+    obs::TraceSpan span(
+        "stage.check",
+        [&] { return checkArg("timing", statesArg(result.design.ctrl)); },
+        &st.check);
     // Stage exit: the STA engine must close timing at the estimated cycle
     // time and agree with the estimator it cross-validates.
     CheckReport rep;

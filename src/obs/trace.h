@@ -135,13 +135,17 @@ class TraceSpan {
   /// A span whose detail payload (typically the size of the work) is
   /// built by `makeArg()` only when the span is emitted, so computing it
   /// costs nothing while tracing is off. The payload is built before the
-  /// span's clock starts.
+  /// span's clock starts. `accumSeconds` as above.
   template <class MakeArg,
             class = std::enable_if_t<
                 std::is_invocable_r_v<std::string, MakeArg&>>>
-  TraceSpan(std::string_view name, MakeArg makeArg)
-      : emit_(Tracer::global().enabled()) {
-    if (!emit_) return;
+  TraceSpan(std::string_view name, MakeArg makeArg,
+            double* accumSeconds = nullptr)
+      : accum_(accumSeconds), emit_(Tracer::global().enabled()) {
+    if (!emit_) {
+      if (accum_ != nullptr) startMicros_ = Tracer::global().nowMicros();
+      return;
+    }
     std::string arg = makeArg();
     name_ = name;
     startMicros_ = Tracer::global().nowMicros();

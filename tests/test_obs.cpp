@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/check.h"
 #include "common/thread_pool.h"
 #include "core/designs.h"
 #include "core/synthesizer.h"
@@ -494,6 +495,37 @@ TEST(SimTrace, StageSpansAndStageTimesAgreeExactly) {
   EXPECT_DOUBLE_EQ(spanSeconds["stage.control"], st.control);
   EXPECT_DOUBLE_EQ(spanSeconds["stage.estimate"], st.estimate);
   EXPECT_DOUBLE_EQ(spanSeconds["stage.check"], st.check);
+}
+
+// The stage-exit spans name their check and carry the size of its work;
+// checkDesign runs each analyzer in a span of its own, sized the same way.
+TEST(SimTrace, CheckSpansCarryTheirSize) {
+  TracerReset guard;
+  obs::Tracer::global().enable();
+  const SynthesisResult r =
+      Synthesizer(SynthesisOptions{}).synthesizeSource(designs::sqrtSource());
+  const CheckReport rep = checkDesign(r.design);
+  obs::Tracer::global().disable();
+  EXPECT_TRUE(rep.clean());
+
+  const std::string ops = "ops=" + std::to_string(r.design.fn.numLiveOps());
+  const std::string states =
+      "states=" + std::to_string(r.design.ctrl.numStates());
+  std::vector<std::string> stageChecks, checks;
+  for (const auto& track : obs::Tracer::global().snapshot())
+    for (const auto& e : track.events) {
+      if (e.phase != 'B') continue;
+      if (e.name == "stage.check") stageChecks.push_back(e.arg);
+      if (e.name.rfind("check.", 0) == 0) checks.push_back(e.name + " " + e.arg);
+    }
+  EXPECT_EQ(stageChecks,
+            (std::vector<std::string>{"schedule " + ops, "binding " + ops,
+                                      "controller " + states,
+                                      "timing " + states}));
+  EXPECT_EQ(checks, (std::vector<std::string>{
+                        "check.schedule " + ops, "check.binding " + ops,
+                        "check.controller " + states, "check.timing " + states,
+                        "check.netlist " + ops}));
 }
 
 TEST(SimTrace, AllocSubSpansNestUnderStageAllocate) {
