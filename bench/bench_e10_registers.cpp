@@ -10,6 +10,7 @@
 #include "alloc/lifetime.h"
 #include "alloc/reg_alloc.h"
 #include "bench/bench_util.h"
+#include "check/check_binding.h"
 #include "core/designs.h"
 #include "lang/frontend.h"
 #include "sched/list_sched.h"

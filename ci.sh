@@ -312,7 +312,9 @@ cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 # `mphls lint` must be just as well-formed and show the netlist emit, the
 # netlist lint and the timing engine's spans, and each analyzer's sized
 # check.* span; a traced force-directed
-# `mphls profile` must show a sized sched.force span per block.
+# `mphls profile` must show a sized sched.force span per block; a traced
+# `mphls synth --no-check` must still run the schedule, binding and
+# controller stage-exit checks and skip only the timing oracle.
 OBS_OUT=build/obs-smoke
 mkdir -p "$OBS_OUT"
 ./build/src/cli/mphls profile examples/sqrt.bdl \
@@ -322,9 +324,11 @@ mkdir -p "$OBS_OUT"
   --trace "$OBS_OUT/lint-trace.json" > /dev/null
 ./build/src/cli/mphls profile examples/sqrt.bdl --scheduler force \
   --trace "$OBS_OUT/force-trace.json" --quiet > /dev/null
+./build/src/cli/mphls synth --no-check --quiet \
+  --trace "$OBS_OUT/nocheck-trace.json" examples/sqrt.bdl > /dev/null
 python3 - "$OBS_OUT/trace.json" "$OBS_OUT/metrics.json" \
   "$OBS_OUT/wave.vcd" "$OBS_OUT/lint-trace.json" \
-  "$OBS_OUT/force-trace.json" << 'EOF'
+  "$OBS_OUT/force-trace.json" "$OBS_OUT/nocheck-trace.json" << 'EOF'
 import json, sys
 
 def span_names(path):
@@ -382,6 +386,15 @@ for span, size in (("check.schedule", "ops="), ("check.binding", "ops="),
                if e["ph"] == "B" and e["name"] == span]
     assert details and all(d.startswith(size) for d in details), \
         f"lint trace lacks a sized {span} span: {details}"
+
+# --no-check keeps the structural stage-exit checks and drops the timing
+# oracle.
+span_names(sys.argv[6])
+checks = [e.get("args", {}).get("detail", "").split(" ")[0]
+          for e in json.load(open(sys.argv[6]))["traceEvents"]
+          if e["ph"] == "B" and e["name"] == "stage.check"]
+assert checks == ["schedule", "binding", "controller"], \
+    f"--no-check stage.check spans: {checks}"
 
 metrics = json.load(open(sys.argv[2]))
 cov = metrics["gauges"]["sim.fsm_state_coverage"]

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "alloc/clique.h"
@@ -470,51 +469,6 @@ FuBinding allocateFus(const Function& fn, const Schedule& sched,
   if (method == FuAllocMethod::Clique)
     return byClique(fn, sched, lt, regs, lib, latencies);
   return greedy(fn, sched, lt, regs, lib, method, latencies);
-}
-
-std::string validateFuBinding(const Function& fn, const Schedule& sched,
-                              const FuBinding& binding, const HwLibrary& lib,
-                              const OpLatencyModel& latencies) {
-  std::ostringstream err;
-  for (const auto& blk : fn.blocks()) {
-    BlockDeps deps(fn, blk);
-    const BlockSchedule& bs = sched.of(blk.id);
-    std::map<std::pair<int, int>, int> unitBusy;  // (fu, step) -> op count
-    for (std::size_t i = 0; i < blk.ops.size(); ++i) {
-      FuClass c = scheduleClassOf(deps, i);
-      int f = binding.fuOfOp[blk.id.index()][i];
-      if (c == FuClass::None || c == FuClass::Move) {
-        if (f >= 0) {
-          err << "non-FU op bound to a unit in " << blk.name;
-          return err.str();
-        }
-        continue;
-      }
-      if (f < 0 || f >= binding.numFus()) {
-        err << "op " << i << " in " << blk.name << " has no unit";
-        return err.str();
-      }
-      const FuInstance& fu = binding.fus[(std::size_t)f];
-      const Op& o = fn.op(blk.ops[i]);
-      if (!fu.performs(o.kind)) {
-        err << "unit " << f << " does not perform " << opName(o.kind);
-        return err.str();
-      }
-      if (!lib.component(fu.comp).supports(o.kind)) {
-        err << "component of unit " << f << " does not support "
-            << opName(o.kind);
-        return err.str();
-      }
-      for (int span = 0; span < latencies.of(o.kind); ++span) {
-        if (++unitBusy[{f, bs.step[i] + span}] > 1) {
-          err << "unit " << f << " double-booked at step "
-              << bs.step[i] + span << " of " << blk.name;
-          return err.str();
-        }
-      }
-    }
-  }
-  return {};
 }
 
 }  // namespace mphls

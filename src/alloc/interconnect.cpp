@@ -1,7 +1,6 @@
 #include "alloc/interconnect.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/key_map.h"
 #include "ir/deps.h"
@@ -235,64 +234,6 @@ InterconnectResult buildInterconnect(const Function& fn, const Schedule& sched,
   for (std::size_t b = 0; b < busSources.size(); ++b)
     ic.busArea += lib.busArea(busSources[b], busWidth[b]);
   return ic;
-}
-
-std::string validateInterconnect(const InterconnectResult& ic) {
-  std::ostringstream err;
-  // conflictLater[i]: some later transfer on i's bus at i's step carries a
-  // different source. Found in one backward sweep that keeps, per
-  // (bus, step), the source seen there and whether a second one was.
-  const std::size_t n = ic.transfers.size();
-  std::vector<char> conflictLater(n, 0);
-  {
-    SourceIds ids;
-    struct Seen {
-      int src;
-      bool mixed;
-    };
-    KeyMap<Seen> later;
-    for (std::size_t i = n; i-- > 0;) {
-      const int src = ids.of(ic.transfers[i].src);
-      const std::uint64_t key =
-          (std::uint64_t)(std::uint32_t)ic.busOfTransfer[i] << 32 |
-          (std::uint32_t)ic.transfers[i].step;
-      auto [seen, fresh] = later.emplace(key, Seen{src, false});
-      if (fresh) continue;
-      conflictLater[i] = seen->mixed || seen->src != src;
-      if (seen->src != src) seen->mixed = true;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Transfer& t = ic.transfers[i];
-    const MuxSpec* mux = nullptr;
-    switch (t.destKind) {
-      case Transfer::DestKind::FuPort:
-        mux = &ic.fuInput[(std::size_t)t.destId][(std::size_t)t.destPort];
-        break;
-      case Transfer::DestKind::Reg:
-        mux = &ic.regInput[(std::size_t)t.destId];
-        break;
-      case Transfer::DestKind::OutPort:
-        // Port ids index outPortInput directly.
-        mux = &ic.outPortInput[(std::size_t)t.destId];
-        break;
-    }
-    if (!mux || mux->indexOf(t.src) < 0) {
-      err << "transfer " << i << " source " << t.src.str()
-          << " missing from destination mux";
-      return err.str();
-    }
-    if (ic.busOfTransfer[i] < 0 || ic.busOfTransfer[i] >= ic.numBuses) {
-      err << "transfer " << i << " has no bus";
-      return err.str();
-    }
-    if (conflictLater[i]) {
-      err << "bus " << ic.busOfTransfer[i]
-          << " carries two values at step " << t.step;
-      return err.str();
-    }
-  }
-  return {};
 }
 
 }  // namespace mphls

@@ -86,8 +86,4 @@ struct InterconnectResult {
     const RegAssignment& regs, const FuBinding& binding, const HwLibrary& lib,
     const OpLatencyModel& latencies = OpLatencyModel::unit());
 
-/// Validate: every transfer's bus assignment is conflict-free and every
-/// FU operand/register write is covered by a mux source.
-[[nodiscard]] std::string validateInterconnect(const InterconnectResult& ic);
-
 }  // namespace mphls

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 #include "alloc/clique.h"
 #include "obs/trace.h"
@@ -106,78 +105,6 @@ RegAssignment allocateRegisters(const LifetimeInfo& lt,
           out.regWidth[static_cast<std::size_t>(r)], lt.items[i].width);
   }
   return out;
-}
-
-namespace {
-
-/// True when no item violates the assignment, in O(n log n): every
-/// non-empty item has a register wide enough, and per register the items
-/// sorted by birth never start before an earlier one dies. An empty item
-/// that holds a register can still "overlap" under LiveInterval::overlaps,
-/// so its presence sends the caller to the exact scan.
-bool assignmentHolds(const LifetimeInfo& lt, const RegAssignment& regs) {
-  std::vector<std::pair<int, LiveInterval>> held;  // (register, interval)
-  for (std::size_t i = 0; i < lt.items.size(); ++i) {
-    const int r = regs.regOfItem[i];
-    const bool hasReg = r >= 0 && r < regs.numRegs;
-    if (lt.items[i].live.empty()) {
-      if (hasReg) return false;
-      continue;
-    }
-    if (!hasReg || (std::size_t)r >= regs.regWidth.size() ||
-        regs.regWidth[(std::size_t)r] < lt.items[i].width)
-      return false;
-    held.emplace_back(r, lt.items[i].live);
-  }
-  std::sort(held.begin(), held.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first < b.first
-                              : a.second.birth < b.second.birth;
-  });
-  // Sorted by birth, so an item overlaps an earlier one of its register
-  // exactly when it is born before the latest death seen so far.
-  int lastDeath = 0;
-  for (std::size_t k = 0; k < held.size(); ++k) {
-    if (k > 0 && held[k].first == held[k - 1].first &&
-        held[k].second.birth < lastDeath)
-      return false;
-    if (k == 0 || held[k].first != held[k - 1].first)
-      lastDeath = held[k].second.death;
-    else
-      lastDeath = std::max(lastDeath, held[k].second.death);
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string validateRegAssignment(const LifetimeInfo& lt,
-                                  const RegAssignment& regs) {
-  std::ostringstream err;
-  if (regs.regOfItem.size() != lt.items.size()) return "item count mismatch";
-  if (assignmentHolds(lt, regs)) return {};
-  // Some item violates the assignment: name the first one in item order.
-  for (std::size_t i = 0; i < lt.items.size(); ++i) {
-    if (lt.items[i].live.empty()) continue;
-    if (regs.regOfItem[i] < 0 || regs.regOfItem[i] >= regs.numRegs) {
-      err << "item " << i << " has no register";
-      return err.str();
-    }
-    if (regs.regWidth[static_cast<std::size_t>(regs.regOfItem[i])] <
-        lt.items[i].width) {
-      err << "register too narrow for item " << i;
-      return err.str();
-    }
-    for (std::size_t j = i + 1; j < lt.items.size(); ++j) {
-      if (regs.regOfItem[i] == regs.regOfItem[j] &&
-          lt.items[i].live.overlaps(lt.items[j].live)) {
-        err << "items " << i << " (" << lt.items[i].name << ") and " << j
-            << " (" << lt.items[j].name << ") share register "
-            << regs.regOfItem[i] << " with overlapping lifetimes";
-        return err.str();
-      }
-    }
-  }
-  return {};
 }
 
 }  // namespace mphls

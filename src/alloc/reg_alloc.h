@@ -30,9 +30,4 @@ struct RegAssignment {
     const LifetimeInfo& lifetimes,
     RegAllocMethod method = RegAllocMethod::LeftEdge);
 
-/// Validate: no two items with overlapping lifetimes share a register and
-/// register widths cover their items.
-[[nodiscard]] std::string validateRegAssignment(const LifetimeInfo& lifetimes,
-                                                const RegAssignment& regs);
-
 }  // namespace mphls

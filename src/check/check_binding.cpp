@@ -35,6 +35,7 @@ bool registersHold(const LifetimeInfo& lt, const RegAssignment& regs) {
     if (lt.items[i].live.empty()) continue;
     const int r = regs.regOfItem[i];
     if (r < 0 || r >= regs.numRegs ||
+        (std::size_t)r >= regs.regWidth.size() ||
         regs.regWidth[(std::size_t)r] < lt.items[i].width)
       return false;
     held.emplace_back(r, lt.items[i].live);
@@ -74,7 +75,12 @@ void checkRegisters(const LifetimeInfo& lt, const RegAssignment& regs,
       report.error("bind.reg-range", itemWhere(lt, i), oss.str());
       continue;
     }
-    if (regs.regWidth[(std::size_t)r] < lt.items[i].width) {
+    if ((std::size_t)r >= regs.regWidth.size()) {
+      std::ostringstream oss;
+      oss << "register r" << r << " has no width (widths cover "
+          << regs.regWidth.size() << " registers)";
+      report.error("bind.reg-width", itemWhere(lt, i), oss.str());
+    } else if (regs.regWidth[(std::size_t)r] < lt.items[i].width) {
       std::ostringstream oss;
       oss << "register r" << r << " is " << regs.regWidth[(std::size_t)r]
           << " bits, item needs " << lt.items[i].width;
@@ -199,40 +205,18 @@ void checkUnits(const Function& fn, const Schedule& sched,
   }
 }
 
-/// True when some destination mux needs two different sources in one step
-/// (or a transfer's destination or step is out of range, which the exact
-/// scan then judges; the step limit caps the per-step arrays). Transfers
-/// are grouped by destination mux with a counting sort; within a group, a
-/// per-step stamp remembers the first transfer seen in each step, so the
-/// check is linear.
-bool muxConflict(const InterconnectResult& ic) {
-  const std::vector<Transfer>& transfers = ic.transfers;
-  const std::size_t fuSlots = ic.fuInput.size() * 3;
-  const std::size_t regSlots = ic.regInput.size();
-  const std::size_t slots = fuSlots + regSlots + ic.outPortInput.size();
-  std::vector<std::size_t> slotOf(transfers.size());
-  int maxStep = 0;
-  for (std::size_t k = 0; k < transfers.size(); ++k) {
-    const Transfer& t = transfers[k];
-    const std::size_t id = (std::size_t)t.destId;
-    if (t.destId < 0 || t.step < 0 || t.step >= (1 << 20)) return true;
-    switch (t.destKind) {
-      case Transfer::DestKind::FuPort:
-        if (id >= ic.fuInput.size() || t.destPort < 0 || t.destPort >= 3)
-          return true;
-        slotOf[k] = id * 3 + (std::size_t)t.destPort;
-        break;
-      case Transfer::DestKind::Reg:
-        if (id >= regSlots) return true;
-        slotOf[k] = fuSlots + id;
-        break;
-      case Transfer::DestKind::OutPort:
-        if (id >= ic.outPortInput.size()) return true;
-        slotOf[k] = fuSlots + regSlots + id;
-        break;
-    }
-    maxStep = std::max(maxStep, t.step);
-  }
+/// Steps (or buses) at or past this bound send the conflict checks below
+/// to their exact scans; it caps the per-step (per-bus) arrays.
+constexpr int kIndexLimit = 1 << 20;
+
+/// True when two transfers of one group name different sources in one
+/// step. `slotOf` gives each transfer's group, below `slots`; every step
+/// lies in [0, maxStep]. Transfers are grouped with a counting sort;
+/// within a group, a per-step stamp remembers the first transfer seen in
+/// each step, so the check is linear.
+bool groupsConflict(const std::vector<Transfer>& transfers,
+                    const std::vector<std::size_t>& slotOf,
+                    std::size_t slots, int maxStep) {
   std::vector<std::size_t> start(slots + 1, 0), order(transfers.size());
   for (std::size_t slot : slotOf) ++start[slot + 1];
   for (std::size_t s = 0; s < slots; ++s) start[s + 1] += start[s];
@@ -255,6 +239,57 @@ bool muxConflict(const InterconnectResult& ic) {
       }
     }
   return false;
+}
+
+/// True when some destination mux needs two different sources in one step
+/// (or a transfer's destination or step is out of range, which the exact
+/// scan then judges).
+bool muxConflict(const InterconnectResult& ic) {
+  const std::vector<Transfer>& transfers = ic.transfers;
+  const std::size_t fuSlots = ic.fuInput.size() * 3;
+  const std::size_t regSlots = ic.regInput.size();
+  const std::size_t slots = fuSlots + regSlots + ic.outPortInput.size();
+  std::vector<std::size_t> slotOf(transfers.size());
+  int maxStep = 0;
+  for (std::size_t k = 0; k < transfers.size(); ++k) {
+    const Transfer& t = transfers[k];
+    const std::size_t id = (std::size_t)t.destId;
+    if (t.destId < 0 || t.step < 0 || t.step >= kIndexLimit) return true;
+    switch (t.destKind) {
+      case Transfer::DestKind::FuPort:
+        if (id >= ic.fuInput.size() || t.destPort < 0 || t.destPort >= 3)
+          return true;
+        slotOf[k] = id * 3 + (std::size_t)t.destPort;
+        break;
+      case Transfer::DestKind::Reg:
+        if (id >= regSlots) return true;
+        slotOf[k] = fuSlots + id;
+        break;
+      case Transfer::DestKind::OutPort:
+        if (id >= ic.outPortInput.size()) return true;
+        slotOf[k] = fuSlots + regSlots + id;
+        break;
+    }
+    maxStep = std::max(maxStep, t.step);
+  }
+  return groupsConflict(transfers, slotOf, slots, maxStep);
+}
+
+/// True when some bus carries two different sources in one step (or a
+/// transfer's step or bus is too large for the arrays, which the exact
+/// scan then judges). Every transfer's bus must already be in range.
+bool busConflict(const InterconnectResult& ic) {
+  std::vector<std::size_t> slotOf(ic.transfers.size());
+  int maxStep = 0, maxBus = 0;
+  for (std::size_t k = 0; k < ic.transfers.size(); ++k) {
+    const int step = ic.transfers[k].step, bus = ic.busOfTransfer[k];
+    if (step < 0 || step >= kIndexLimit || bus >= kIndexLimit) return true;
+    slotOf[k] = (std::size_t)bus;
+    maxStep = std::max(maxStep, step);
+    maxBus = std::max(maxBus, bus);
+  }
+  return groupsConflict(ic.transfers, slotOf, (std::size_t)maxBus + 1,
+                        maxStep);
 }
 
 void checkMuxes(const InterconnectResult& ic, CheckReport& report) {
@@ -341,6 +376,46 @@ void checkMuxes(const InterconnectResult& ic, CheckReport& report) {
   }
 }
 
+/// The bus-based alternative (estimateTiming indexes its per-bus tables
+/// by busOfTransfer): every transfer rides an existing bus, and no bus
+/// carries two different sources in one step.
+void checkBuses(const InterconnectResult& ic, CheckReport& report) {
+  if (ic.busOfTransfer.size() != ic.transfers.size()) {
+    std::ostringstream oss;
+    oss << "bus assignment covers " << ic.busOfTransfer.size()
+        << " transfers, interconnect has " << ic.transfers.size();
+    report.error("bind.bus-range", "bus assignment", oss.str());
+    return;
+  }
+  bool inRange = true;
+  for (std::size_t k = 0; k < ic.transfers.size(); ++k) {
+    const int b = ic.busOfTransfer[k];
+    if (b >= 0 && b < ic.numBuses) continue;
+    std::ostringstream where, oss;
+    where << "transfer " << k;
+    oss << "assigned to bus " << b << " of " << ic.numBuses;
+    report.error("bind.bus-range", where.str(), oss.str());
+    inRange = false;
+  }
+  // Only a design with a conflict (or an out-of-range bus) pays for the
+  // first-seen map that names each conflicting pair.
+  if (inRange && !busConflict(ic)) return;
+  std::map<std::pair<int, int>, const Transfer*> seen;
+  for (std::size_t k = 0; k < ic.transfers.size(); ++k) {
+    const Transfer& t = ic.transfers[k];
+    const int b = ic.busOfTransfer[k];
+    if (b < 0 || b >= ic.numBuses) continue;  // reported as bus-range
+    auto [it, fresh] = seen.try_emplace({b, t.step}, &t);
+    if (!fresh && !(it->second->src == t.src)) {
+      std::ostringstream oss;
+      oss << "carries both " << it->second->src.str() << " and "
+          << t.src.str() << " at step " << t.step;
+      report.error("bind.bus-conflict", "bus " + std::to_string(b),
+                   oss.str());
+    }
+  }
+}
+
 }  // namespace
 
 void checkBinding(const Function& fn, const Schedule& sched,
@@ -351,6 +426,29 @@ void checkBinding(const Function& fn, const Schedule& sched,
   checkRegisters(lifetimes, regs, report);
   checkUnits(fn, sched, binding, lib, latencies, report);
   checkMuxes(ic, report);
+  checkBuses(ic, report);
+}
+
+std::string validateRegAssignment(const LifetimeInfo& lifetimes,
+                                  const RegAssignment& regs) {
+  CheckReport report;
+  checkRegisters(lifetimes, regs, report);
+  return report.firstError();
+}
+
+std::string validateFuBinding(const Function& fn, const Schedule& sched,
+                              const FuBinding& binding, const HwLibrary& lib,
+                              const OpLatencyModel& latencies) {
+  CheckReport report;
+  checkUnits(fn, sched, binding, lib, latencies, report);
+  return report.firstError();
+}
+
+std::string validateInterconnect(const InterconnectResult& ic) {
+  CheckReport report;
+  checkMuxes(ic, report);
+  checkBuses(ic, report);
+  return report.firstError();
 }
 
 }  // namespace mphls

@@ -7,7 +7,9 @@
 // component can execute it at its width, and no unit executes two operations
 // in overlapping control steps; and the interconnect's multiplexers are
 // exhaustive (every required transfer has a leg at its destination mux) and
-// non-conflicting (no mux is asked for two different sources in one step).
+// non-conflicting (no mux is asked for two different sources in one step),
+// and the bus-based alternative puts every transfer on an existing bus with
+// one source per bus per step.
 #pragma once
 
 #include "alloc/interconnect.h"
@@ -34,10 +36,24 @@ namespace mphls {
 //   bind.fu-conflict      unit runs two ops in overlapping control steps
 //   bind.mux-missing      transfer source missing from its destination mux
 //   bind.mux-conflict     mux needs two different sources in the same step
+//   bind.bus-range        transfer on no / an out-of-range bus
+//   bind.bus-conflict     bus carries two different sources in one step
 void checkBinding(const Function& fn, const Schedule& sched,
                   const LifetimeInfo& lifetimes, const RegAssignment& regs,
                   const FuBinding& binding, const InterconnectResult& ic,
                   const HwLibrary& lib, const OpLatencyModel& latencies,
                   CheckReport& report);
+
+// One part of checkBinding each, returning its first error ("" when
+// clean): registers, functional units, and multiplexers plus buses. They
+// remain for the stage-by-stage replay in perfbench/src/synth_large.cpp,
+// which calls these names; new code calls checkBinding.
+[[nodiscard]] std::string validateRegAssignment(const LifetimeInfo& lifetimes,
+                                                const RegAssignment& regs);
+[[nodiscard]] std::string validateFuBinding(
+    const Function& fn, const Schedule& sched, const FuBinding& binding,
+    const HwLibrary& lib,
+    const OpLatencyModel& latencies = OpLatencyModel::unit());
+[[nodiscard]] std::string validateInterconnect(const InterconnectResult& ic);
 
 }  // namespace mphls

@@ -157,6 +157,70 @@ class ActionCursor {
   std::vector<Key> have_;
 };
 
+/// Legs of `muxes[i]`; -1 when there is no such mux.
+int legsAt(const std::vector<MuxSpec>& muxes, int i) {
+  return i >= 0 && i < (int)muxes.size() ? muxes[(std::size_t)i].legs() : -1;
+}
+
+/// The range part: per state, successors in range, a condition unit that
+/// exists, and actions naming existing units, registers, ports and mux
+/// legs. Reads the interconnect only through bounds-checked lookups.
+void checkStateRanges(const Controller& ctrl, const InterconnectResult& ic,
+                      const FuBinding& binding, CheckReport& report) {
+  for (std::size_t s = 0; s < ctrl.numStates(); ++s) {
+    const CtrlState& st = ctrl.states[s];
+    if (st.halt) continue;
+    if (st.conditional) {
+      if (!inRange(ctrl, st.nextTaken) || !inRange(ctrl, st.nextNot))
+        report.error("ctrl.transition-range", stateWhere(ctrl, s),
+                     "conditional successor out of range");
+      if (st.cond.kind == Source::Kind::Fu &&
+          (st.cond.id < 0 || st.cond.id >= binding.numFus()))
+        report.error("ctrl.cond-source", stateWhere(ctrl, s),
+                     "branch condition names a nonexistent unit");
+    } else if (!inRange(ctrl, st.next)) {
+      report.error("ctrl.transition-range", stateWhere(ctrl, s),
+                   "successor out of range");
+    }
+    auto rangeError = [&](const std::ostringstream& oss) {
+      report.error("ctrl.action-range", stateWhere(ctrl, s), oss.str());
+    };
+    for (const FuAction& fa : st.fuActions) {
+      std::ostringstream oss;
+      if (fa.fu < 0 || fa.fu >= binding.numFus()) {
+        oss << "FU action names fu" << fa.fu << " of " << binding.numFus();
+        rangeError(oss);
+        continue;
+      }
+      const bool wired = fa.fu < (int)ic.fuInput.size();
+      for (std::size_t p = 0; p < 3; ++p) {
+        const int legs = wired ? ic.fuInput[(std::size_t)fa.fu][p].legs() : 0;
+        if (fa.muxSel[p] < legs) continue;  // -1: port unused
+        oss.str("");
+        oss << "fu" << fa.fu << " port " << p << " selects leg "
+            << fa.muxSel[p] << " of " << legs;
+        rangeError(oss);
+      }
+    }
+    auto checkLoad = [&](const std::vector<MuxSpec>& muxes, int dest,
+                         int sel, const char* what) {
+      const int legs = legsAt(muxes, dest);
+      if (sel >= 0 && sel < legs) return;
+      std::ostringstream oss;
+      oss << what << " " << dest;
+      if (legs < 0)
+        oss << " does not exist (" << muxes.size() << " do)";
+      else
+        oss << " selects leg " << sel << " of " << legs;
+      rangeError(oss);
+    };
+    for (const RegAction& ra : st.regActions)
+      checkLoad(ic.regInput, ra.reg, ra.muxSel, "register");
+    for (const PortAction& pa : st.portActions)
+      checkLoad(ic.outPortInput, pa.port, pa.muxSel, "port");
+  }
+}
+
 }  // namespace
 
 void checkController(const Function& fn, const Schedule& sched,
@@ -229,19 +293,12 @@ void checkController(const Function& fn, const Schedule& sched,
                          stateWhere(ctrl, sid.index()),
                          "branch targets do not match the terminator");
           }
-          if (st.conditional) {
-            if (st.cond.finalWidth() != 1) {
-              std::ostringstream oss;
-              oss << "branch condition is " << st.cond.finalWidth()
-                  << " bits wide";
-              report.error("ctrl.cond-width", stateWhere(ctrl, sid.index()),
-                           oss.str());
-            }
-            if (st.cond.kind == Source::Kind::Fu &&
-                (st.cond.id < 0 || st.cond.id >= binding.numFus())) {
-              report.error("ctrl.cond-source", stateWhere(ctrl, sid.index()),
-                           "branch condition names a nonexistent unit");
-            }
+          if (st.conditional && st.cond.finalWidth() != 1) {
+            std::ostringstream oss;
+            oss << "branch condition is " << st.cond.finalWidth()
+                << " bits wide";
+            report.error("ctrl.cond-width", stateWhere(ctrl, sid.index()),
+                         oss.str());
           }
           break;
         }
@@ -249,19 +306,8 @@ void checkController(const Function& fn, const Schedule& sched,
     }
   }
 
-  // Successor ranges for every state (including unmapped ones).
-  for (std::size_t s = 0; s < n; ++s) {
-    const CtrlState& st = ctrl.states[s];
-    if (st.halt) continue;
-    if (st.conditional) {
-      if (!inRange(ctrl, st.nextTaken) || !inRange(ctrl, st.nextNot))
-        report.error("ctrl.transition-range", stateWhere(ctrl, s),
-                     "conditional successor out of range");
-    } else if (!inRange(ctrl, st.next)) {
-      report.error("ctrl.transition-range", stateWhere(ctrl, s),
-                   "successor out of range");
-    }
-  }
+  // Successor and action ranges for every state (including unmapped ones).
+  checkStateRanges(ctrl, ic, binding, report);
 
   // --- reachability ------------------------------------------------------
   // Successors per state (at most two), then predecessors in CSR form.
@@ -389,6 +435,18 @@ void checkController(const Function& fn, const Schedule& sched,
                     "port write", report);
     }
   }
+}
+
+std::string validateController(const Controller& ctrl,
+                               const InterconnectResult& ic,
+                               const FuBinding& binding) {
+  CheckReport report;
+  if (!inRange(ctrl, ctrl.initial))
+    report.error("ctrl.transition-range", "controller",
+                 "initial state is out of range");
+  else
+    checkStateRanges(ctrl, ic, binding, report);
+  return report.firstError();
 }
 
 }  // namespace mphls

@@ -25,6 +25,8 @@ namespace mphls {
 //   ctrl.transition-target   successor disagrees with schedule/terminator
 //   ctrl.cond-width          branch condition is not 1 bit wide
 //   ctrl.cond-source         branch condition names a nonexistent unit
+//   ctrl.action-range        action names a nonexistent unit, register,
+//                            port or mux leg
 //   ctrl.unreachable-state   state unreachable from the initial state
 //   ctrl.dead-state          state cannot reach the halt state
 //   ctrl.action-missing      required datapath action not asserted
@@ -33,5 +35,14 @@ void checkController(const Function& fn, const Schedule& sched,
                      const Controller& ctrl, const InterconnectResult& ic,
                      const FuBinding& binding,
                      const OpLatencyModel& latencies, CheckReport& report);
+
+/// The first error ("" when none) of checkController's range part, which
+/// needs no schedule: the initial state, every successor, condition unit
+/// and action in range. It remains for the stage-by-stage replay in
+/// perfbench/src/synth_large.cpp, which calls this name; new code calls
+/// checkController.
+[[nodiscard]] std::string validateController(const Controller& ctrl,
+                                             const InterconnectResult& ic,
+                                             const FuBinding& binding);
 
 }  // namespace mphls

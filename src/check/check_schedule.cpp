@@ -141,4 +141,12 @@ void checkSchedule(const Function& fn, const Schedule& sched,
   }
 }
 
+std::string validateSchedule(const Function& fn, const Schedule& sched,
+                             const ResourceLimits& limits,
+                             const OpLatencyModel& latencies) {
+  CheckReport report;
+  checkSchedule(fn, sched, limits, latencies, report);
+  return report.firstError();
+}
+
 }  // namespace mphls

@@ -28,4 +28,11 @@ void checkSchedule(const Function& fn, const Schedule& sched,
                    const ResourceLimits& limits,
                    const OpLatencyModel& latencies, CheckReport& report);
 
+/// The first error of checkSchedule ("" when clean). It remains for the
+/// stage-by-stage replay in perfbench/src/synth_large.cpp, which calls
+/// this name; new code calls checkSchedule.
+[[nodiscard]] std::string validateSchedule(
+    const Function& fn, const Schedule& sched, const ResourceLimits& limits,
+    const OpLatencyModel& latencies = OpLatencyModel::unit());
+
 }  // namespace mphls

@@ -51,8 +51,8 @@ std::optional<Function> compileCached(const Request& req, OptLevel opt,
 }
 
 /// Compile and run the backend on the request's options. `check` arms
-/// the stage-exit checks; lint and sta disarm them so their own report
-/// collects every finding instead of dying mid-pipeline. A pipeline
+/// the timing check; lint and sta disarm it so their own report collects
+/// every timing finding instead of dying mid-pipeline. A pipeline
 /// failure's message starts with `prefix`.
 std::optional<SynthesisResult> synthesize(const Request& req, bool check,
                                           const char* prefix, Failure& fail) {

@@ -100,7 +100,7 @@ struct ProveOutcome {
 /// Synthesize the design.
 [[nodiscard]] Outcome<SynthesisResult> synth(const Request& req);
 
-/// Synthesize with the stage-exit checks off, then run the full static
+/// Synthesize with the timing check off, then run the full static
 /// verification (checkDesign) on the finished design.
 [[nodiscard]] Outcome<CheckReport> lint(const Request& req);
 

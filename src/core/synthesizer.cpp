@@ -134,13 +134,10 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
       }
       return serialSchedule(deps);
     }, options_.latencies);
-    if (resourceLimited(options_.scheduler)) {
-      std::string msg =
-          validateSchedule(fn, sched, options_.resources, options_.latencies);
-      MPHLS_CHECK(msg.empty(), "invalid schedule: " << msg);
-    }
   }
-  if (options_.check) {
+  // Each stage exit runs its structural analyzer whatever options_.check
+  // says; `check` gates only the timing oracle below.
+  {
     obs::TraceSpan span(
         "stage.check", [&] { return checkArg("schedule", opsArg(fn)); },
         &st.check);
@@ -172,30 +169,23 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     {
       obs::TraceSpan sub("alloc.reg");
       regs = allocateRegisters(lt, options_.regMethod);
-      std::string msg = validateRegAssignment(lt, regs);
-      MPHLS_CHECK(msg.empty(), "invalid register allocation: " << msg);
     }
     {
       obs::TraceSpan sub("alloc.fu", [&] { return opsArg(fn); });
       binding = allocateFus(fn, sched, lt, regs, lib,
                             options_.fuMethod, options_.latencies);
-      std::string msg =
-          validateFuBinding(fn, sched, binding, lib, options_.latencies);
-      MPHLS_CHECK(msg.empty(), "invalid FU binding: " << msg);
     }
     {
       obs::TraceSpan sub("alloc.interconnect", [&] { return opsArg(fn); });
       ic = buildInterconnect(fn, sched, lt, regs, binding, lib,
                              options_.latencies);
-      std::string msg = validateInterconnect(ic);
-      MPHLS_CHECK(msg.empty(), "invalid interconnect: " << msg);
     }
   }
-  if (options_.check) {
+  {
     obs::TraceSpan span(
         "stage.check", [&] { return checkArg("binding", opsArg(fn)); },
         &st.check);
-    // Stage exit: binding consistency (registers, units, multiplexers).
+    // Stage exit: binding consistency (registers, units, muxes, buses).
     CheckReport rep;
     checkBinding(fn, sched, lt, regs, binding, ic, lib, options_.latencies,
                  rep);
@@ -210,10 +200,8 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
     obs::TraceSpan span("stage.control", &st.control);
     ctrl =
         buildController(fn, sched, lt, regs, binding, ic, options_.latencies);
-    std::string msg = validateController(ctrl, ic, binding);
-    MPHLS_CHECK(msg.empty(), "invalid controller: " << msg);
   }
-  if (options_.check) {
+  {
     obs::TraceSpan span(
         "stage.check",
         [&] { return checkArg("controller", statesArg(ctrl)); }, &st.check);

@@ -46,10 +46,12 @@ struct SynthesisOptions {
   /// the FSM-driven RTL; the Verilog emitter and the microcode simulator
   /// require unit latency.
   OpLatencyModel latencies = OpLatencyModel::unit();
-  /// Run the src/check/ stage-boundary analyzers at every stage exit
-  /// (schedule legality, binding consistency, controller completeness) and
-  /// throw InternalError on the first violation. On by default so every
-  /// test run is statically verified; `mphls --no-check` disables it.
+  /// Run the timing oracle at the end of synthesis: checkTiming's STA
+  /// must close timing at the estimated cycle time and agree with the
+  /// estimator. The structural stage-exit analyzers (schedule legality,
+  /// binding consistency, controller completeness) run whatever this
+  /// says; any of them throws InternalError on the first violation. On by
+  /// default; `mphls --no-check` turns off only the timing oracle.
   bool check = true;
   /// Run the analysis-driven width-narrowing pass (opt/narrow.cpp) after
   /// the optimization pipeline: every value and register shrinks to the
@@ -80,11 +82,11 @@ struct SynthesisOptions {
 /// `mphls profile` can break down where synthesis time goes.
 struct StageTimes {
   double optimize = 0;   ///< high-level transformation passes
-  double schedule = 0;   ///< control-step assignment (incl. validation)
+  double schedule = 0;   ///< control-step assignment
   double allocate = 0;   ///< lifetimes, registers, FUs, interconnect
   double control = 0;    ///< controller build + FSM encode + microcode
   double estimate = 0;   ///< area/timing estimation
-  double check = 0;      ///< stage-boundary analyzers (options.check)
+  double check = 0;      ///< stage-exit analyzers and timing oracle
   double prove = 0;      ///< formal equivalence proof (options.prove)
 
   [[nodiscard]] double total() const {

@@ -37,12 +37,14 @@ std::string describeMismatch(
 }
 
 /// Failure kind of an exception out of the pipeline. The synthesizer's own
-/// stage-exit timing check (armed under --no-check) throws before the
-/// oracle gets a look; keep the per-kind classification.
+/// stage-exit checks throw before the oracle gets a look — the structural
+/// analyzers always, the timing check when armed (under --no-check); keep
+/// the per-kind classification.
 std::string exceptionKind(const std::string& what) {
-  return what.find("timing closure check failed") != std::string::npos
-             ? "sta-divergence"
-             : "error";
+  if (what.find("timing closure check failed") != std::string::npos)
+    return "sta-divergence";
+  return what.find(" check failed (") != std::string::npos ? "check"
+                                                           : "error";
 }
 
 /// Whether two points synthesize the same design: everything but the
@@ -365,8 +367,8 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
     std::vector<std::string> encoding(group.size());
     try {
       SynthesisOptions so = p.toOptions();
-      // With the oracle on, it checks the finished design once; the
-      // stage-exit checkers would only repeat it.
+      // With the oracle on, it runs STA on the finished design once; the
+      // synthesizer's timing check would only repeat it.
       so.check = !options.check;
       Synthesizer synth(so);
       BackendInput* in = &frontendFor(p);

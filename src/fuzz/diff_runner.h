@@ -15,8 +15,9 @@
 //      allocation and the controller are fixed): one synthesis, one STA
 //      run, one checkDesign/lint pass and one set of co-simulations on
 //      all-zeros, all-ones and seeded-random inputs. The synthesizer's
-//      stage-exit checkers are off while this oracle runs (it checks the
-//      finished, possibly mutated design instead) and on under --no-check;
+//      timing check is off while this oracle runs (it checks the finished,
+//      possibly mutated design instead) and on under --no-check; its
+//      structural stage-exit checks always run;
 //   3. only the encoding tail runs per point: encodeController,
 //      estimateArea and the encoding oracle (validateEncoding: distinct
 //      codes, minimized logic equal to the raw cover, next-state bits equal
@@ -57,9 +58,9 @@ struct MatrixPoint {
   ///  lat=unit fus=2".
   [[nodiscard]] std::string label() const;
 
-  /// Synthesis options reproducing this point on its own: stage-exit checks
+  /// Synthesis options reproducing this point on its own: timing check
   /// armed, narrowing off (runSource narrows the shared frontend itself and
-  /// disarms the stage-exit checks while its own oracle runs).
+  /// disarms the timing check while its own oracle runs).
   [[nodiscard]] SynthesisOptions toOptions() const;
 };
 

@@ -51,16 +51,11 @@ struct DistributionGraph {
 /// of rebuilding every frame per candidate. Ops whose frame is already one
 /// step wide are fixed in one batch before any force is evaluated, where
 /// the reference fixes one per scan and discards that scan's forces. The
-/// result is identical to forceDirectedScheduleReference on every input
-/// (the propagation computes the same integer fixpoint and force terms
-/// accumulate in the same order); only the wall time differs.
+/// result is identical to the from-scratch HAL formulation
+/// (tests/fd_reference.h) on every input: the propagation computes the
+/// same integer fixpoint and force terms accumulate in the same order;
+/// only the wall time differs.
 [[nodiscard]] BlockSchedule forceDirectedSchedule(const BlockDeps& deps,
                                                   int horizon);
-
-/// The from-scratch HAL formulation: rebuilds every time frame and
-/// distribution graph on each candidate evaluation. Kept as the oracle the
-/// incremental scheduler is tested and benchmarked against.
-[[nodiscard]] BlockSchedule forceDirectedScheduleReference(
-    const BlockDeps& deps, int horizon);
 
 }  // namespace mphls

@@ -122,19 +122,6 @@ std::string validateBlockSchedule(const BlockDeps& deps,
   return {};
 }
 
-std::string validateSchedule(const Function& fn, const Schedule& sched,
-                             const ResourceLimits& limits,
-                             const OpLatencyModel& latencies) {
-  if (sched.blocks.size() != fn.numBlocks()) return "block count mismatch";
-  for (const auto& blk : fn.blocks()) {
-    BlockDeps deps(fn, blk, latencies);
-    std::string msg =
-        validateBlockSchedule(deps, sched.blocks[blk.id.index()], limits);
-    if (!msg.empty()) return "block " + blk.name + ": " + msg;
-  }
-  return {};
-}
-
 std::map<FuClass, int> peakUsage(const BlockDeps& deps,
                                  const BlockSchedule& sched) {
   std::map<FuClass, std::vector<int>> usage;

@@ -57,11 +57,6 @@ struct Schedule {
                                                 const BlockSchedule& sched,
                                                 const ResourceLimits& limits);
 
-/// Validate every block of a function schedule (with resource limits).
-[[nodiscard]] std::string validateSchedule(
-    const Function& fn, const Schedule& sched, const ResourceLimits& limits,
-    const OpLatencyModel& latencies = OpLatencyModel::unit());
-
 /// Per-class peak concurrency of a block schedule: the number of functional
 /// units of each class the schedule requires (HAL's "maximum number required
 /// in any control step").

@@ -17,6 +17,7 @@
 #include "alloc/interconnect.h"
 #include "alloc/lifetime.h"
 #include "alloc/reg_alloc.h"
+#include "check/check_binding.h"
 #include "core/options.h"
 #include "core/synthesizer.h"
 #include "fuzz/bdl_gen.h"
@@ -379,9 +380,12 @@ TEST(Interconnect, MuxAreaGrowsWithSharing) {
   EXPECT_GT(icOne.muxArea, 0.0);
 }
 
-// --------------------------------------------- validators vs all-pairs scans
+// ------------------------------------- checkBinding vs all-pairs scans
 
-/// Reference: the all-pairs scan validateInterconnect replaced.
+/// Reference: the all-pairs scan of the former interconnect validator. The
+/// first transfer whose source has no leg at its destination mux, whose
+/// bus is out of range, or whose bus carries a different source in the
+/// same step later on.
 std::string validateInterconnectReference(const InterconnectResult& ic) {
   std::ostringstream err;
   for (std::size_t i = 0; i < ic.transfers.size(); ++i) {
@@ -420,7 +424,9 @@ std::string validateInterconnectReference(const InterconnectResult& ic) {
   return {};
 }
 
-/// Reference: the all-pairs scan validateRegAssignment falls back to.
+/// Reference: the all-pairs scan of the former register validator. It
+/// skips empty items in its outer loop only, so an empty lifetime that
+/// holds a register can still "overlap" a live item of that register.
 std::string validateRegAssignmentReference(const LifetimeInfo& lt,
                                            const RegAssignment& regs) {
   std::ostringstream err;
@@ -465,10 +471,19 @@ std::vector<RtlDesign> generatedDesigns() {
   return out;
 }
 
-TEST(Validators, InterconnectNamesSameViolationAsAllPairsScan) {
-  int caught = 0;
+CheckReport bindingReport(const RtlDesign& d, const LifetimeInfo& lt,
+                          const RegAssignment& regs,
+                          const InterconnectResult& ic) {
+  CheckReport rep;
+  checkBinding(d.fn, d.sched, lt, regs, d.binding, ic, d.lib,
+               OpLatencyModel::unit(), rep);
+  return rep;
+}
+
+TEST(CheckBinding, CatchesEveryInterconnectViolationOfAllPairsScan) {
+  int caught = 0, busCaught = 0, capped = 0;
   for (const RtlDesign& d : generatedDesigns()) {
-    ASSERT_EQ(validateInterconnect(d.ic), "");
+    ASSERT_TRUE(bindingReport(d, d.lifetimes, d.regs, d.ic).clean());
     std::mt19937_64 rng(d.ic.transfers.size());
     auto pick = [&](std::size_t n) { return (std::size_t)(rng() % n); };
     const std::size_t nt = d.ic.transfers.size();
@@ -477,7 +492,7 @@ TEST(Validators, InterconnectNamesSameViolationAsAllPairsScan) {
       InterconnectResult ic = d.ic;
       for (int k = 0, n = 1 + (int)pick(3); k < n; ++k) {
         const std::size_t t = pick(nt), u = pick(nt);
-        switch (pick(4)) {
+        switch (pick(7)) {
           case 0:  // another (possibly invalid) bus
             ic.busOfTransfer[t] = (int)pick((std::size_t)ic.numBuses + 2) - 1;
             break;
@@ -488,26 +503,67 @@ TEST(Validators, InterconnectNamesSameViolationAsAllPairsScan) {
           case 2:  // another transfer's source
             ic.transfers[t].src = ic.transfers[u].src;
             break;
-          default: {  // a source dropped from a register mux
+          case 3: {  // a source dropped from a register mux
             if (ic.regInput.empty()) break;
             auto& srcs = ic.regInput[pick(ic.regInput.size())].sources;
             if (!srcs.empty())
               srcs.erase(srcs.begin() + (long)pick(srcs.size()));
+            break;
           }
+          case 4:  // fewer buses than the assignment uses
+            ic.numBuses = (int)pick((std::size_t)ic.numBuses + 1);
+            break;
+          case 5:  // two transfers on one bus past the per-step array cap
+            // (the fast check hands such a step to the exact scan)
+            ic.busOfTransfer[t] = ic.busOfTransfer[u];
+            ic.transfers[t].step = ic.transfers[u].step = (1 << 20) + 3;
+            ++capped;
+            break;
+          default:  // two transfers in one step on a bus past the per-bus
+                    // array cap, valid under a huge bus count
+            ic.numBuses = 1 << 30;
+            ic.busOfTransfer[t] = ic.busOfTransfer[u] = (1 << 20) + 5;
+            ic.transfers[t].step = ic.transfers[u].step;
+            ++capped;
         }
       }
       const std::string want = validateInterconnectReference(ic);
-      ASSERT_EQ(validateInterconnect(ic), want) << "trial " << trial;
-      caught += !want.empty();
+      const CheckReport rep = bindingReport(d, d.lifetimes, d.regs, ic);
+      const bool bus = rep.has("bind.bus-range") || rep.has("bind.bus-conflict");
+      if (want.empty()) {
+        // The reference sees every missing leg and bus violation.
+        ASSERT_FALSE(rep.has("bind.mux-missing") || bus)
+            << "trial " << trial << ":\n" << rep.render();
+        continue;
+      }
+      ASSERT_GT(rep.errorCount(), 0u) << "trial " << trial << ": " << want;
+      if (want.find("has no bus") != std::string::npos) {
+        ASSERT_TRUE(rep.has("bind.bus-range")) << want;
+      }
+      if (want.find("carries two values") != std::string::npos) {
+        ASSERT_TRUE(rep.has("bind.bus-conflict")) << want;
+      }
+      ++caught;
+      busCaught += bus;
     }
   }
   EXPECT_GT(caught, 100);
+  EXPECT_GT(busCaught, 50);
+  EXPECT_GT(capped, 20);
 }
 
-TEST(Validators, RegAssignmentNamesSameViolationAsAllPairsScan) {
-  int caught = 0;
+TEST(CheckBinding, CatchesEveryRegisterViolationOfAllPairsScan) {
+  // checkRegisters' one rule change against the reference: an item with an
+  // empty lifetime holds no register, so sharing one overlaps nothing.
+  // Applying that rule to the reference's input must make the two agree.
+  auto heldOnly = [](const LifetimeInfo& lt, RegAssignment regs) {
+    for (std::size_t i = 0; i < lt.items.size(); ++i)
+      if (lt.items[i].live.empty()) regs.regOfItem[i] = -1;
+    return regs;
+  };
+  int caught = 0, emptyHolders = 0;
   for (const RtlDesign& d : generatedDesigns()) {
-    ASSERT_EQ(validateRegAssignment(d.lifetimes, d.regs), "");
+    ASSERT_TRUE(bindingReport(d, d.lifetimes, d.regs, d.ic).clean());
     const std::size_t n = d.lifetimes.items.size();
     if (n == 0) continue;
     std::mt19937_64 rng(n);
@@ -541,11 +597,35 @@ TEST(Validators, RegAssignmentNamesSameViolationAsAllPairsScan) {
         }
       }
       const std::string want = validateRegAssignmentReference(lt, regs);
-      ASSERT_EQ(validateRegAssignment(lt, regs), want) << "trial " << trial;
-      caught += !want.empty();
+      const std::string wantHeld =
+          validateRegAssignmentReference(lt, heldOnly(lt, regs));
+      const CheckReport rep = bindingReport(d, lt, regs, d.ic);
+      ASSERT_EQ(rep.errorCount() > 0, !wantHeld.empty())
+          << "trial " << trial << ": " << wantHeld << "\n" << rep.render();
+      caught += !want.empty() && !rep.clean();
+      emptyHolders += !want.empty() && wantHeld.empty();
     }
   }
   EXPECT_GT(caught, 100);
+  EXPECT_GT(emptyHolders, 0);
+}
+
+// A register-width table shorter than the register count is a finding,
+// not an out-of-bounds read.
+TEST(CheckBinding, ShortRegisterWidthTableIsAFinding) {
+  RawFlow flow(compileBdlOrThrow(kSqrtSrc), ResourceLimits::universalSet(2));
+  ASSERT_GT(flow.regs.numRegs, 1);
+  for (const std::size_t keep : {(std::size_t)flow.regs.numRegs - 1,
+                                 (std::size_t)0}) {
+    RegAssignment regs = flow.regs;
+    regs.regWidth.resize(keep);
+    FuBinding binding = flow.alloc(FuAllocMethod::GreedyLocal);
+    CheckReport rep;
+    checkBinding(flow.fn, flow.sched, flow.lt, regs, binding,
+                 flow.wires(binding), flow.lib, OpLatencyModel::unit(), rep);
+    EXPECT_TRUE(rep.has("bind.reg-width")) << rep.render();
+    EXPECT_NE(validateRegAssignment(flow.lt, regs), "");
+  }
 }
 
 }  // namespace

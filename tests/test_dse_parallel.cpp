@@ -15,6 +15,7 @@
 #include "core/designs.h"
 #include "core/dse.h"
 #include "core/frontend_cache.h"
+#include "fd_reference.h"
 #include "fuzz/bdl_gen.h"
 #include "ir/analysis.h"
 #include "ir/verify.h"
