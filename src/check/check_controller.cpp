@@ -186,8 +186,8 @@ void checkStateRanges(const Controller& ctrl, const InterconnectResult& ic,
       report.error("ctrl.action-range", stateWhere(ctrl, s), oss.str());
     };
     for (const FuAction& fa : st.fuActions) {
-      std::ostringstream oss;
       if (fa.fu < 0 || fa.fu >= binding.numFus()) {
+        std::ostringstream oss;
         oss << "FU action names fu" << fa.fu << " of " << binding.numFus();
         rangeError(oss);
         continue;
@@ -196,7 +196,7 @@ void checkStateRanges(const Controller& ctrl, const InterconnectResult& ic,
       for (std::size_t p = 0; p < 3; ++p) {
         const int legs = wired ? ic.fuInput[(std::size_t)fa.fu][p].legs() : 0;
         if (fa.muxSel[p] < legs) continue;  // -1: port unused
-        oss.str("");
+        std::ostringstream oss;
         oss << "fu" << fa.fu << " port " << p << " selects leg "
             << fa.muxSel[p] << " of " << legs;
         rangeError(oss);
