@@ -225,15 +225,11 @@ std::optional<std::size_t> liveItem(const RtlDesign& d, int minWidth = 1) {
 
 /// The mux a transfer lands on.
 MuxSpec& muxOf(InterconnectResult& ic, const Transfer& t) {
-  switch (t.destKind) {
-    case Transfer::DestKind::FuPort:
-      return ic.fuInput[(std::size_t)t.destId][(std::size_t)t.destPort];
-    case Transfer::DestKind::Reg:
-      return ic.regInput[(std::size_t)t.destId];
-    case Transfer::DestKind::OutPort:
-      break;
-  }
-  return ic.outPortInput[(std::size_t)t.destId];
+  const auto id = (std::size_t)t.destId;
+  if (t.destKind == Transfer::DestKind::FuPort)
+    return ic.fuInput[id][(std::size_t)t.destPort];
+  if (t.destKind == Transfer::DestKind::Reg) return ic.regInput[id];
+  return ic.outPortInput[id];
 }
 
 /// The first state `pred` accepts.
