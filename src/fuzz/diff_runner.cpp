@@ -37,14 +37,12 @@ std::string describeMismatch(
 }
 
 /// Failure kind of an exception out of the pipeline. The synthesizer's own
-/// stage-exit checks throw before the oracle gets a look — the structural
-/// analyzers always, the timing check when armed (under --no-check); keep
-/// the per-kind classification.
+/// stage-exit timing check (armed under --no-check) throws before the
+/// oracle gets a look; keep the per-kind classification.
 std::string exceptionKind(const std::string& what) {
-  if (what.find("timing closure check failed") != std::string::npos)
-    return "sta-divergence";
-  return what.find(" check failed (") != std::string::npos ? "check"
-                                                           : "error";
+  return what.find("timing closure check failed") != std::string::npos
+             ? "sta-divergence"
+             : "error";
 }
 
 /// Whether two points synthesize the same design: everything but the
