@@ -20,8 +20,8 @@
 #    usage errors);
 #  - a fixed-seed differential fuzz campaign, plus injected miscompile,
 #    schedule-shift and operand-swap round trips that must be caught;
-#  - a bytecode-VM oracle gate (200 seeds co-simulated on both the VM and
-#    the interpreters, zero divergences tolerated);
+#  - a 200-seed standard-matrix co-simulation gate (zero failing programs
+#    tolerated);
 #  - the formal equivalence gate (`mphls prove` over every built-in at
 #    every opt level, plus must-fail runs for each injected bug class);
 #  - an AddressSanitizer+UBSan pass over the whole suite and a
@@ -256,12 +256,10 @@ for bug in sched bind; do
   fi
 done
 
-# --- Bytecode-VM oracle gate: every one of 200 seeds runs on both the VM
-# and the tree-walking interpreters (100% cross-check sampling is implied
-# by --engine both) and must agree bit-for-bit — a single divergence is a
-# VM bug and fails the build.
-./build/src/cli/mphls fuzz --seeds 200 --jobs "$(nproc)" --engine both \
-  --no-save --quiet
+# --- Co-simulation gate: 200 seeds over the standard matrix, every
+# synthesized design co-simulated against the behavioral interpreter; a
+# single failing program fails the build.
+./build/src/cli/mphls fuzz --seeds 200 --jobs "$(nproc)" --no-save --quiet
 
 # --- Formal equivalence gate: every built-in design must *prove*
 # behavioral/RTL equivalent (and every optimization pass equivalence-

@@ -93,7 +93,6 @@
 #include "serve/loadgen.h"
 #include "serve/server.h"
 #include "sta/sta.h"
-#include "vm/sim_engine.h"
 
 using namespace mphls;
 
@@ -150,7 +149,6 @@ void usage() {
       "  --log-file FILE  --log-level debug|info|warn|error\n"
       "       mphls fuzz [--seeds N] [--seed-base S] [--jobs N]\n"
       "                  [--matrix quick|standard|full] [--trials N]\n"
-      "                  [--engine interp|vm|both] [--cross-check RATE]\n"
       "                  [--reduce] [--corpus DIR] [--no-save]\n"
       "                  [--replay DIR] [--inject mul|sched|bind]\n"
       "                  [--no-check]\n"
@@ -249,7 +247,7 @@ std::optional<RecordedSim> recordSimulation(
     const std::string& vcdOut, bool quiet) {
   SimTraceRecorder rec(d);
   rec.begin(inputs);
-  vm::RtlSim sim(d);  // bytecode VM with default interpreter cross-checking
+  const RtlSimulator sim(d);
   RecordedSim out;
   WallTimer simTimer;
   {
@@ -655,7 +653,7 @@ int runSynth(const CliArgs& a, const cmd::Request& req) {
 
   int failures = 0;
   if (!a.verifyRuns.empty()) {
-    vm::RtlSim verifySim(d);  // compiled once, reused across --verify runs
+    const RtlSimulator verifySim(d);
     for (const auto& inputs : a.verifyRuns) {
       std::string msg = verifyAgainstBehavior(result, inputs);
       auto res = verifySim.run(inputs);
@@ -713,12 +711,6 @@ int runFuzz(int argc, char** argv) {
       matrixName = v;
     } else if (arg == "--trials" && (v = next())) {
       if (!parseInt(v, kCount, c.diff.trials)) return (usage(), 2);
-    } else if (arg == "--engine" && (v = next())) {
-      if (!vm::parseEngineKind(v, c.diff.engine.kind))
-        return (usage(), 2);
-    } else if (arg == "--cross-check" && (v = next())) {
-      if (!parseNumber(v, {0, 1, false}, c.diff.engine.crossCheck))
-        return (usage(), 2);
     } else if (arg == "--reduce") {
       c.reduce = true;
     } else if (arg == "--corpus" && (v = next())) {
@@ -785,8 +777,7 @@ int runFuzz(int argc, char** argv) {
   fuzz::CampaignResult r = fuzz::runCampaign(c);
   if (!quiet || !r.clean()) {
     std::cout << "fuzz: " << r.seeds << " seeds x " << r.pointsPerProgram
-              << " matrix points (" << matrixName << ", engine="
-              << vm::engineKindName(c.diff.engine.kind) << "), "
+              << " matrix points (" << matrixName << "), "
               << r.pointsRun << " designs synthesized, " << r.simulations
               << " co-simulations in " << r.wallSeconds << "s ("
               << (r.wallSeconds > 0
@@ -809,8 +800,7 @@ int runFuzz(int argc, char** argv) {
     std::cout << "fuzz: " << r.failedPrograms << " failing programs ("
               << r.mismatches << " mismatches, " << r.checkFailures
               << " check findings, " << r.errors << " errors, "
-              << r.divergences << " vm divergences, " << r.staFailures
-              << " sta failures)\n";
+              << r.staFailures << " sta failures)\n";
   }
 
   if (outFile.empty() && !r.clean() && !c.corpusDir.empty())

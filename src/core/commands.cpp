@@ -13,10 +13,10 @@
 #include "lang/frontend.h"
 #include "obs/trace.h"
 #include "opt/pass.h"
+#include "rtl/rtlsim.h"
 #include "sched/schedule.h"
 #include "sec/passes.h"
 #include "sec/prove.h"
-#include "vm/sim_engine.h"
 
 namespace mphls::cmd {
 
@@ -316,10 +316,9 @@ Result simJson(const Request& req,
   for (const auto& p : d.fn.ports())
     if (p.isInput && in.find(p.name) == in.end()) in[p.name] = 0;
 
-  vm::RtlSim sim(d);
   RtlExecResult res;
   try {
-    res = sim.run(in);
+    res = RtlSimulator(d).run(in);
   } catch (const std::exception& e) {
     return errorResult(req.name, e.what(), false);
   }

@@ -17,7 +17,6 @@
 #include "opt/pass.h"
 #include "rtl/rtlsim.h"
 #include "sec/prove.h"
-#include "vm/sim_engine.h"
 #include "sched/asap.h"
 #include "sched/bnb.h"
 #include "sched/force_directed.h"
@@ -271,20 +270,9 @@ SynthesisResult Synthesizer::backend(Function fn, StageTimes st) {
 std::string verifyAgainstBehavior(
     const SynthesisResult& result,
     const std::map<std::string, std::uint64_t>& inputs) {
-  // Both sides run on the bytecode VM engines (default mode), which also
-  // sample interpreter cross-checks; a divergence is reported verbatim.
-  ExecResult want;
-  RtlExecResult got;
-  try {
-    vm::BehavSim behav(result.design.fn);
-    want = behav.run(inputs);
-    if (!want.finished) return "behavioral execution did not finish";
-
-    vm::RtlSim sim(result.design);
-    got = sim.run(inputs);
-  } catch (const vm::DivergenceError& e) {
-    return e.what();
-  }
+  const ExecResult want = Interpreter(result.design.fn).run(inputs);
+  if (!want.finished) return "behavioral execution did not finish";
+  const RtlExecResult got = RtlSimulator(result.design).run(inputs);
   if (!got.finished) return "RTL simulation did not reach the halt state";
 
   if (want.outputs != got.outputs) {

@@ -32,8 +32,6 @@ void countFailures(const ProgramVerdict& v, CampaignResult& r) {
     if (f.kind == "mismatch") ++r.mismatches;
     else if (f.kind == "check") ++r.checkFailures;
     else if (f.kind == "error") ++r.errors;
-    else if (f.kind == "vm-divergence" || f.kind == "vm-divergence-behav")
-      ++r.divergences;
     else if (f.kind.rfind("sta-", 0) == 0) ++r.staFailures;
     else ++r.other;
   }
@@ -246,12 +244,9 @@ JsonValue campaignReport(const CampaignOptions& options,
   root["mismatches"] = result.mismatches;
   root["check_failures"] = result.checkFailures;
   root["errors"] = result.errors;
-  root["vm_divergences"] = result.divergences;
   root["sta_failures"] = result.staFailures;
   root["other_failures"] = result.other;
   root["reduced"] = options.reduce;
-  root["engine"] = std::string(vm::engineKindName(options.diff.engine.kind));
-  root["cross_check"] = options.diff.engine.crossCheck;
   root["wall_seconds"] = result.wallSeconds;
   root["seeds_per_sec"] =
       result.wallSeconds > 0 ? result.seeds / result.wallSeconds : 0.0;

@@ -57,9 +57,6 @@ struct CampaignResult {
   long simulations = 0;
   int failedPrograms = 0;
   long mismatches = 0, checkFailures = 0, errors = 0, other = 0;
-  /// VM/interpreter disagreements ("vm-divergence*" failure kinds) —
-  /// always 0 unless the bytecode VM itself miscompiles.
-  long divergences = 0;
   /// Static-timing oracle failures ("sta-crash", "sta-negative-slack",
   /// "sta-divergence"): the STA engine crashed on a generated design,
   /// reported negative slack at its own estimated clock, or disagreed

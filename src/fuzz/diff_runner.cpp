@@ -11,6 +11,7 @@
 #include "fuzz/bdl_gen.h"
 #include "ir/interp.h"
 #include "lang/frontend.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/pass.h"
 #include "rtl/rtlsim.h"
@@ -194,6 +195,9 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
                          const DiffOptions& options) {
   ProgramVerdict v;
   v.seed = seed;
+  // Resolved once: the per-trial path stays free of locked name lookups.
+  obs::Counter& rtlRuns =
+      obs::MetricsRegistry::global().counter("sim.rtl_runs");
 
   // Golden behavior: the interpreter on the raw, unoptimized compile.
   DiagEngine diags;
@@ -208,24 +212,11 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
   for (const Port& p : golden->ports())
     if (p.isInput) names.push_back(p.name);
 
-  // Per-program engine options: mix the program seed into the sampling
-  // stream so "2% cross-checks" draws differently (but reproducibly) for
-  // every program.
-  vm::EngineOptions eng = options.engine;
-  eng.seed ^= seed * 0x9e3779b97f4a7c15ull;
-
   std::vector<std::map<std::string, std::uint64_t>> trialIns, goldenOuts;
-  vm::BehavSim gi(*golden, eng);
+  const Interpreter gi(*golden);
   for (int t = 0; t < options.trials; ++t) {
     auto in = randomInputs(names, seed, t);
-    ExecResult r;
-    try {
-      r = gi.run(in, options.maxBlockExecs);
-    } catch (const vm::DivergenceError& e) {
-      v.failures.push_back(
-          {MatrixPoint{}, "vm-divergence-behav", e.what(), t});
-      return v;
-    }
+    ExecResult r = gi.run(in, options.maxBlockExecs);
     if (!r.finished) {
       v.failures.push_back({MatrixPoint{}, "nonterminating",
                             "behavioral execution hit the block budget",
@@ -327,11 +318,13 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
         }
       }
 
-      // One engine per design: the bytecode program is compiled once here
-      // and reused across all input trials (the compile cache).
-      vm::RtlSim sim(d, eng);
+      obs::TraceSpan span("sim.rtl", [&] {
+        return "trials=" + std::to_string(options.trials);
+      });
+      const RtlSimulator sim(d);
       for (int t = 0; t < options.trials; ++t) {
         auto res = sim.run(trialIns[(std::size_t)t], options.maxCycles);
+        rtlRuns.add(1);
         ++sims;
         if (!res.finished) {
           fail("rtl-timeout",
@@ -344,8 +337,6 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
         }
         if (!fails.empty() && options.stopAtFirstFailure) return;
       }
-    } catch (const vm::DivergenceError& e) {
-      fail("vm-divergence", e.what());
     } catch (const std::exception& e) {
       fail(exceptionKind(e.what()), e.what());
     }

@@ -38,7 +38,6 @@
 
 #include "core/inject.h"
 #include "core/synthesizer.h"
-#include "vm/sim_engine.h"
 
 namespace mphls::fuzz {
 
@@ -96,19 +95,15 @@ struct PointFailure {
   MatrixPoint point;
   std::string kind;    ///< "compile" | "nonterminating" | "check" |
                        ///< "mismatch" | "rtl-timeout" | "error" |
-                       ///< "vm-divergence" | "vm-divergence-behav" |
                        ///< "sta-crash" | "sta-negative-slack" |
                        ///< "sta-divergence" | "encoding"
   std::string detail;
   int trial = -1;      ///< input-pattern index for co-simulation failures
 
   /// The point's label, or "" for the program-level kinds ("compile",
-  /// "nonterminating", "vm-divergence-behav") where `point` is a
-  /// meaningless default.
+  /// "nonterminating") where `point` is a meaningless default.
   [[nodiscard]] std::string pointLabel() const {
-    if (kind == "compile" || kind == "nonterminating" ||
-        kind == "vm-divergence-behav")
-      return "";
+    if (kind == "compile" || kind == "nonterminating") return "";
     return point.label();
   }
 };
@@ -150,12 +145,6 @@ struct DiffOptions {
   std::string top;
   long maxBlockExecs = 100000;
   long maxCycles = 1000000;
-  /// Simulation engine selection: the compiled bytecode VM (default), the
-  /// tree-walking interpreters, or both with every run cross-checked. A
-  /// VM/interpreter disagreement surfaces as a "vm-divergence" /
-  /// "vm-divergence-behav" failure. The engine seed is mixed with the
-  /// program seed so sampled cross-checks stay deterministic per program.
-  vm::EngineOptions engine;
 };
 
 /// Run the full differential matrix over one program.

@@ -8,11 +8,12 @@
 
 #include "common/diag.h"
 #include "ir/analysis.h"
+#include "ir/interp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rtl/rtlsim.h"
 #include "sec/rtlsym.h"
 #include "sec/symexec.h"
-#include "vm/sim_engine.h"
 
 namespace mphls::sec {
 
@@ -266,29 +267,29 @@ CheckReport proveEquivalence(const RtlDesign& d, const ProveOptions& opts) {
   }
 
   // Decode the first SAT witness concretely: replay its input-port
-  // assignment end-to-end on the bytecode co-sim. Witness symbols that are
-  // not design inputs (the arbitrary register file, free variables)
-  // default to zero, so the note distinguishes a counterexample that
-  // reproduces from whole-design inputs from one that needs the block's
-  // particular register state.
+  // assignment end-to-end on the interpreter and the RTL simulator.
+  // Witness symbols that are not design inputs (the arbitrary register
+  // file, free variables) default to zero, so the note distinguishes a
+  // counterexample that reproduces from whole-design inputs from one that
+  // needs the block's particular register state.
   if (!cex.empty()) {
     std::map<std::string, std::uint64_t> inputs;
     for (const Port& p : d.fn.ports())
       if (p.isInput) inputs[p.name] = 0;
-    // Raw witness patterns are fine here: the VM truncates every input to
-    // its port width at load.
+    // Raw witness patterns are fine here: the interpreter and the RTL
+    // simulator truncate every input to its port width at load.
     for (const auto& [name, val] : cex) {
       auto it = inputs.find(name);
       if (it != inputs.end()) it->second = val;
     }
     std::ostringstream oss;
+    // The note's wording predates the simulators' current names; the CLI
+    // goldens pin it.
     oss << "replayed witness on vm co-sim:";
     for (const auto& [name, val] : inputs) oss << " " << name << "=" << val;
     try {
-      vm::BehavSim behav(d.fn);
-      ExecResult want = behav.run(inputs);
-      vm::RtlSim sim(d);
-      RtlExecResult got = sim.run(inputs);
+      ExecResult want = Interpreter(d.fn).run(inputs);
+      RtlExecResult got = RtlSimulator(d).run(inputs);
       if (!want.finished || !got.finished) {
         oss << " -> execution did not finish";
       } else if (want.outputs != got.outputs) {

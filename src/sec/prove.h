@@ -43,7 +43,7 @@ struct ProveOptions {
 /// counterexample). Updates the sec.* metrics. Returns true on success.
 /// When `cexOut` is given and still empty, a NotEqual verdict stores its
 /// witness assignment there (used by proveEquivalence to replay the first
-/// counterexample on the bytecode co-sim).
+/// counterexample on the interpreter and the RTL simulator).
 bool dischargeEqual(ExprContext& ctx, int a, int b,
                     const std::vector<int>& assumptions, long conflictBudget,
                     const std::string& id, const std::string& where,

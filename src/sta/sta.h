@@ -25,9 +25,7 @@
 // The state-aware worst arrival is an independent re-derivation of
 // estimateTiming's cycle time (src/estim/): the estimator recurses over
 // controller actions, this engine relaxes an explicit graph. The two are
-// cross-validated on every checked synthesis (check_timing.h) — the same
-// differential-oracle trick the bytecode VM plays against the
-// interpreters.
+// cross-validated on every checked synthesis (check_timing.h).
 #pragma once
 
 #include <string>

@@ -240,7 +240,7 @@ TEST(FuzzDiff, StandardSeedSynthesizesAndChecksEachDesignOnce) {
   auto read = [&] {
     return std::array<std::uint64_t, 3>{mr.counter("synth.runs").value(),
                                         mr.counter("sta.runs").value(),
-                                        mr.counter("vm.rtl_runs").value()};
+                                        mr.counter("sim.rtl_runs").value()};
   };
   fuzz::DiffOptions d;
   const std::string src = fuzz::generateProgram(1).render();

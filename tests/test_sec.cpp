@@ -377,8 +377,8 @@ TEST(SecInject, SwappedBindingIsCaught) {
 
 TEST(SecInject, FailedProofReplaysWitnessOnVm) {
   // A mismatch proof decodes its first SAT witness by replaying the
-  // input-port assignment through the bytecode co-sim and reports the
-  // outcome as a note alongside the error findings.
+  // input-port assignment through the interpreter and the RTL simulator
+  // and reports the outcome as a note alongside the error findings.
   int replayed = 0;
   for (const auto& d : designs::all()) {
     Synthesizer synth(proveOptions(OptLevel::None, false));
