@@ -37,6 +37,15 @@ std::string describeMismatch(
   return oss.str();
 }
 
+std::string describeFault(const std::string& what,
+                          const std::map<std::string, std::uint64_t>& inputs) {
+  std::ostringstream oss;
+  oss << "design fault on";
+  for (const auto& [k, v] : inputs) oss << " " << k << "=" << v;
+  oss << ": " << what;
+  return oss.str();
+}
+
 /// Failure kind of an exception out of the pipeline. The synthesizer's own
 /// stage-exit timing check (armed under --no-check) throws before the
 /// oracle gets a look; keep the per-kind classification.
@@ -323,17 +332,21 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
       });
       const RtlSimulator sim(d);
       for (int t = 0; t < options.trials; ++t) {
-        auto res = sim.run(trialIns[(std::size_t)t], options.maxCycles);
+        const auto& in = trialIns[(std::size_t)t];
+        const auto& want = goldenOuts[(std::size_t)t];
         rtlRuns.add(1);
         ++sims;
-        if (!res.finished) {
-          fail("rtl-timeout",
-               "RTL simulation did not reach the halt state", t);
-        } else if (res.outputs != goldenOuts[(std::size_t)t]) {
-          fail("mismatch",
-               describeMismatch(goldenOuts[(std::size_t)t], res.outputs,
-                                trialIns[(std::size_t)t]),
-               t);
+        try {
+          const RtlExecResult res = sim.run(in, options.maxCycles);
+          if (!res.finished)
+            fail("rtl-timeout",
+                 "RTL simulation did not reach the halt state", t);
+          else if (res.outputs != want)
+            fail("mismatch", describeMismatch(want, res.outputs, in), t);
+        } catch (const DesignFault& e) {
+          // The design, not the simulator, is at fault: the RTL cannot
+          // compute the behavior on these inputs.
+          fail("mismatch", describeFault(e.what(), in), t);
         }
         if (!fails.empty() && options.stopAtFirstFailure) return;
       }

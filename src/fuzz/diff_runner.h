@@ -28,7 +28,9 @@
 // alone. Any disagreement — a mismatch, a check finding, a simulator that
 // never halts, or an exception out of the pipeline — is recorded as a
 // PointFailure naming the exact matrix point, which is what the reducer
-// and the corpus replay key on.
+// and the corpus replay key on. An RTL run that faults (a read of an
+// inactive unit's output, a busy unit re-issued) is a mismatch on its
+// trial, since the design cannot compute the behavior on those inputs.
 #pragma once
 
 #include <cstdint>

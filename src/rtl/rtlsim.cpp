@@ -81,8 +81,8 @@ RtlExecResult RtlSimulator::run(
         fuActive[(std::size_t)fa.fu] = true;
       } else {
         // The unit latches its operands now and delivers later.
-        MPHLS_CHECK(pendingDone[(std::size_t)fa.fu] < 0,
-                    "unit issued while busy");
+        if (pendingDone[(std::size_t)fa.fu] >= 0)
+          throw DesignFault("unit issued while busy");
         pendingDone[(std::size_t)fa.fu] = cycle + fa.cycles - 1;
         pendingVal[(std::size_t)fa.fu] = value;
       }

@@ -12,12 +12,22 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "rtl/design.h"
 
 namespace mphls {
+
+/// The simulated design did what its hardware cannot: read a unit's
+/// output in a cycle where the unit computes nothing, or issue a
+/// multicycle unit that is still busy. A fault of the design under test
+/// (a bad schedule or binding), not of the simulator.
+class DesignFault : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 struct RtlExecResult {
   std::map<std::string, std::uint64_t> outputs;  ///< written output ports
@@ -49,7 +59,8 @@ class RtlSimulator {
  public:
   explicit RtlSimulator(const RtlDesign& design) : d_(design) {}
 
-  /// Run from reset with the given stable input-port values.
+  /// Run from reset with the given stable input-port values. Throws
+  /// DesignFault when the design breaks a unit's timing.
   [[nodiscard]] RtlExecResult run(
       const std::map<std::string, std::uint64_t>& inputs,
       long maxCycles = 1000000, const SimObserver& observe = {}) const;

@@ -10,6 +10,7 @@
 #include "alloc/datapath.h"
 #include "common/bitutil.h"
 #include "ir/interp.h"
+#include "rtl/rtlsim.h"
 
 namespace mphls::rtl {
 
@@ -42,8 +43,9 @@ inline std::uint64_t sourceValue(const Source& s,
       raw = truncBits((std::uint64_t)s.imm, s.rootWidth);
       break;
     case Source::Kind::Fu:
-      MPHLS_CHECK(s.id >= 0 && fuActive[(std::size_t)s.id],
-                  "read of inactive unit output");
+      MPHLS_CHECK(s.id >= 0, "unit source without a unit");
+      if (!fuActive[(std::size_t)s.id])
+        throw DesignFault("read of inactive unit output");
       raw = fuOut[(std::size_t)s.id];
       break;
   }

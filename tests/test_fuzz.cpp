@@ -256,6 +256,30 @@ TEST(FuzzDiff, StandardSeedSynthesizesAndChecksEachDesignOnce) {
   EXPECT_EQ(v.simulations, 24L * d.trials);
 }
 
+TEST(FuzzDiff, DesignFaultIsAMismatchOnItsTrial) {
+  // Seed 3 with its schedule shifted and the checkers off: the RTL reads
+  // a unit's output in a step where the unit computes nothing. That is a
+  // fault of the design under test, reported per trial with its inputs.
+  const fuzz::GenProgram p = fuzz::generateProgram(3);
+  fuzz::DiffOptions d = quickDiff();
+  d.inject = InjectedBug::ScheduleShift;
+  d.check = false;
+  const fuzz::ProgramVerdict v = fuzz::runSource(p.render(), 3, d);
+  int faults = 0;
+  for (const auto& f : v.failures) {
+    EXPECT_NE(f.kind, "error") << f.detail;
+    if (f.detail.find("read of inactive unit output") == std::string::npos)
+      continue;
+    ++faults;
+    EXPECT_EQ(f.kind, "mismatch") << f.detail;
+    EXPECT_GE(f.trial, 0) << f.detail;
+    EXPECT_EQ(f.detail.rfind("design fault on", 0), 0u) << f.detail;
+    for (const std::string& in : p.inputNames())
+      EXPECT_NE(f.detail.find(" " + in + "="), std::string::npos) << f.detail;
+  }
+  EXPECT_GT(faults, 0) << verdictText(v);
+}
+
 // ----------------------------------------------------------------- reducer
 
 TEST(FuzzReduce, ShrinksInjectedMiscompileWitness) {
