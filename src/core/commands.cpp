@@ -318,6 +318,7 @@ Result simJson(const Request& req,
 
   RtlExecResult res;
   try {
+    obs::TraceSpan span("sim.rtl", [&] { return d.fn.name(); });
     res = RtlSimulator(d).run(in);
   } catch (const std::exception& e) {
     return errorResult(req.name, e.what(), false);

@@ -283,8 +283,7 @@ CheckReport proveEquivalence(const RtlDesign& d, const ProveOptions& opts) {
       if (it != inputs.end()) it->second = val;
     }
     std::ostringstream oss;
-    // The note's wording predates the simulators' current names; the CLI
-    // goldens pin it.
+    // The CLI goldens pin this wording.
     oss << "replayed witness on vm co-sim:";
     for (const auto& [name, val] : inputs) oss << " " << name << "=" << val;
     try {

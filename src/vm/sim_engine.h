@@ -1,7 +1,6 @@
-// Compatibility alias for perfbench/src/oracle.cpp, which is frozen with
-// the benchmark and still names `vm::RtlSim`. The bytecode VM is gone:
-// RtlSimulator is the one RTL simulation engine. Nothing in src/ or tests/
-// includes this header.
+// Compatibility alias: perfbench/src/oracle.cpp, which is frozen with the
+// benchmark, names `vm::RtlSim`. RtlSimulator is the RTL simulation
+// engine; nothing in src/ or tests/ includes this header.
 #pragma once
 
 #include "rtl/rtlsim.h"
