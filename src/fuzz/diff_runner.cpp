@@ -344,8 +344,6 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
           else if (res.outputs != want)
             fail("mismatch", describeMismatch(want, res.outputs, in), t);
         } catch (const DesignFault& e) {
-          // The design, not the simulator, is at fault: the RTL cannot
-          // compute the behavior on these inputs.
           fail("mismatch", describeFault(e.what(), in), t);
         }
         if (!fails.empty() && options.stopAtFirstFailure) return;
