@@ -25,10 +25,12 @@
 #  - the formal equivalence gate (`mphls prove` over every built-in at
 #    every opt level, plus must-fail runs for each injected bug class);
 #  - an AddressSanitizer+UBSan pass over the whole suite and a
-#    ThreadSanitizer pass over the parallel-DSE layer and the serve daemon;
+#    ThreadSanitizer pass over the parallel-DSE layer, the serve daemon and
+#    the fuzz campaign's group-parallel sweep;
 #  - an observability smoke validating the Chrome trace, metrics JSON and
-#    VCD waveform from `mphls profile`, and the spans of a traced
-#    `mphls lint` (netlist emit and lint, STA);
+#    VCD waveform from `mphls profile`, the spans of a traced `mphls lint`
+#    (netlist emit and lint, STA), and the per-worker fuzz.group spans of a
+#    traced two-job `mphls fuzz`;
 #  - a serve smoke: daemon on an ephemeral port, byte-diff of every
 #    endpoint against the offline CLI, a Prometheus text-exposition gate,
 #    a concurrent loadgen run with a schema and zero-error check of
@@ -290,15 +292,17 @@ cmake --build build-asan -j"$(nproc)" --target mphls_tests
 ./build-asan/tests/mphls_tests --gtest_brief=1
 
 # --- ThreadSanitizer: the concurrency layer (thread pool, frontend cache,
-# parallel sweeps, and the serve daemon's loop/worker handoff) must be
-# race-free, not merely deterministic.
+# parallel sweeps, the serve daemon's loop/worker handoff, and the fuzz
+# campaign, whose design groups of one seed share its golden run and
+# frontends across workers: FuzzCampaign* and the SourceRun thread test)
+# must be race-free, not merely deterministic.
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 ./build-tsan/tests/mphls_tests \
-  --gtest_filter='DseParallel*:Serve*:ObsConcurrency*' \
+  --gtest_filter='DseParallel*:Serve*:ObsConcurrency*:FuzzCampaign*:FuzzDiff.SourceRun*' \
   --gtest_brief=1
 
 # --- Observability smoke: `mphls profile` must emit a well-formed Chrome
@@ -312,7 +316,10 @@ cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 # check.* span; a traced force-directed
 # `mphls profile` must show a sized sched.force span per block; a traced
 # `mphls synth --no-check` must still run the schedule, binding and
-# controller stage-exit checks and skip only the timing oracle.
+# controller stage-exit checks and skip only the timing oracle; a traced
+# two-job `mphls fuzz` must be as well-formed, with a sized fuzz.golden
+# span per seed and sized fuzz.group spans on at least two fuzz-* worker
+# lanes.
 OBS_OUT=build/obs-smoke
 mkdir -p "$OBS_OUT"
 ./build/src/cli/mphls profile examples/sqrt.bdl \
@@ -324,9 +331,12 @@ mkdir -p "$OBS_OUT"
   --trace "$OBS_OUT/force-trace.json" --quiet > /dev/null
 ./build/src/cli/mphls synth --no-check --quiet \
   --trace "$OBS_OUT/nocheck-trace.json" examples/sqrt.bdl > /dev/null
+./build/src/cli/mphls fuzz --seeds 4 --jobs 2 --matrix quick --no-save \
+  --quiet --trace "$OBS_OUT/fuzz-trace.json" > /dev/null
 python3 - "$OBS_OUT/trace.json" "$OBS_OUT/metrics.json" \
   "$OBS_OUT/wave.vcd" "$OBS_OUT/lint-trace.json" \
-  "$OBS_OUT/force-trace.json" "$OBS_OUT/nocheck-trace.json" << 'EOF'
+  "$OBS_OUT/force-trace.json" "$OBS_OUT/nocheck-trace.json" \
+  "$OBS_OUT/fuzz-trace.json" << 'EOF'
 import json, sys
 
 def span_names(path):
@@ -393,6 +403,23 @@ checks = [e.get("args", {}).get("detail", "").split(" ")[0]
           if e["ph"] == "B" and e["name"] == "stage.check"]
 assert checks == ["schedule", "binding", "controller"], \
     f"--no-check stage.check spans: {checks}"
+
+# The fuzz campaign runs a seed's design groups as separate pool tasks.
+span_names(sys.argv[7])
+events = json.load(open(sys.argv[7]))["traceEvents"]
+lanes = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+golden = [e.get("args", {}).get("detail", "") for e in events
+          if e["ph"] == "B" and e["name"] == "fuzz.golden"]
+assert len(golden) == 4 and all(d.startswith("trials=") for d in golden), \
+    f"fuzz trace lacks a sized fuzz.golden span per seed: {golden}"
+groups = [e for e in events if e["ph"] == "B" and e["name"] == "fuzz.group"]
+assert len(groups) == 8 and all(
+    e["args"]["detail"].startswith("sched=") and " ops=" in
+    e["args"]["detail"] for e in groups), \
+    f"fuzz trace lacks sized fuzz.group spans: {groups}"
+group_lanes = {lanes.get(e["tid"], "") for e in groups}
+assert len([l for l in group_lanes if l.startswith("fuzz-")]) >= 2, \
+    f"fuzz.group spans ran on lanes {group_lanes}, want two fuzz-* workers"
 
 metrics = json.load(open(sys.argv[2]))
 cov = metrics["gauges"]["sim.fsm_state_coverage"]

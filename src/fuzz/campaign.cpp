@@ -1,9 +1,11 @@
 #include "fuzz/campaign.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -35,6 +37,63 @@ void countFailures(const ProgramVerdict& v, CampaignResult& r) {
     else if (f.kind.rfind("sta-", 0) == 0) ++r.staFailures;
     else ++r.other;
   }
+}
+
+/// Program `i` of a sweep: its source, which must stay put until the sweep
+/// returns, and its seed.
+struct Program {
+  const std::string* source;
+  std::uint64_t seed;
+};
+
+/// Run `n` programs through the matrix as one flat parallelFor over
+/// (program, design group) tasks, so the last programs of a sweep spread
+/// over every worker instead of straggling on one each. Tasks go
+/// program-major;
+/// within a program, groups run in reverse matrix order, because the
+/// matrix axes list the costly methods last (force-directed after list
+/// scheduling, clique after greedy allocation) and a program's costliest
+/// designs should start first. The first task to reach a program calls
+/// `program(i)` and builds its SourceRun (golden run, frontend slots); the
+/// task that finishes its last group assembles the verdict, frees the run
+/// and hands the verdict to `finish(i, verdict)`. So about jobs + 1
+/// programs are in flight at any time, whatever `n` is.
+void sweep(int jobs, std::size_t n, const DiffOptions& diff,
+           const std::function<Program(std::size_t)>& program,
+           const std::function<void(std::size_t, ProgramVerdict)>& finish) {
+  const GroupPlan plan = planGroups(diff);
+  const std::size_t groups = plan.groups.size();
+  // A program with no points still runs its golden step, in one task.
+  const std::size_t tasks = std::max<std::size_t>(groups, 1);
+  struct Slot {
+    std::mutex mutex;  ///< guards the construction of `run`
+    std::unique_ptr<SourceRun> run;
+    std::atomic<std::size_t> finished{0};  ///< tasks done
+  };
+  std::vector<Slot> slots(n);
+
+  const int workers = resolveJobs(jobs);
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<ThreadPool>(workers, "fuzz");
+  parallelFor(pool.get(), n * tasks, [&](std::size_t t, int) {
+    const std::size_t i = t / tasks, k = t % tasks;
+    Slot& s = slots[i];
+    SourceRun* run = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      if (!s.run) {
+        const Program p = program(i);
+        s.run = std::make_unique<SourceRun>(*p.source, p.seed, diff, plan);
+      }
+      run = s.run.get();
+    }
+    if (k < groups) run->runGroup(groups - 1 - k);
+    if (s.finished.fetch_add(1, std::memory_order_acq_rel) + 1 < tasks)
+      return;
+    ProgramVerdict v = run->verdict();
+    s.run.reset();
+    finish(i, std::move(v));
+  });
 }
 
 }  // namespace
@@ -96,26 +155,27 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     });
   }
 
-  // Phase 1 — the sweep, parallel over seeds. Every iteration writes only
-  // its own slot, so results are identical at any thread count.
-  const int workers = resolveJobs(options.jobs);
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers, "fuzz");
-  parallelFor(pool.get(), n, [&](std::size_t i, int) {
-    const std::uint64_t seed = options.seedBase + i;
-    GenProgram prog = generateProgram(seed, options.gen);
-    sources[i] = prog.render();
-    verdicts[i] = runSource(sources[i], seed, options.diff);
-    cSeeds.add();
-    cPoints.add((std::uint64_t)verdicts[i].pointsRun);
-    cSims.add((std::uint64_t)verdicts[i].simulations);
-    std::uint64_t mm = 0;
-    for (const PointFailure& f : verdicts[i].failures)
-      if (f.kind == "mismatch") ++mm;
-    if (mm > 0) cMismatches.add(mm);
-    if (!verdicts[i].ok()) cFailing.add();
-  });
-  pool.reset();
+  // Phase 1 — the sweep, parallel over (seed, design group) tasks. Each
+  // seed's source and verdict land in its own slot, so results are
+  // identical at any thread count.
+  sweep(
+      options.jobs, n, options.diff,
+      [&](std::size_t i) {
+        const std::uint64_t seed = options.seedBase + i;
+        sources[i] = generateProgram(seed, options.gen).render();
+        return Program{&sources[i], seed};
+      },
+      [&](std::size_t i, ProgramVerdict v) {
+        cSeeds.add();
+        cPoints.add((std::uint64_t)v.pointsRun);
+        cSims.add((std::uint64_t)v.simulations);
+        std::uint64_t mm = 0;
+        for (const PointFailure& f : v.failures)
+          if (f.kind == "mismatch") ++mm;
+        if (mm > 0) cMismatches.add(mm);
+        if (!v.ok()) cFailing.add();
+        verdicts[i] = std::move(v);
+      });
 
   if (heartbeat.joinable()) {
     {
@@ -211,14 +271,12 @@ ReplayResult replayCorpus(const std::string& dir, const DiffOptions& diff,
   const std::vector<CorpusEntry> entries = loadCorpus(dir);
   result.entries = (int)entries.size();
   std::vector<ProgramVerdict> verdicts(entries.size());
-
-  const int workers = resolveJobs(jobs);
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-  parallelFor(pool.get(), entries.size(), [&](std::size_t i, int) {
-    verdicts[i] = runSource(entries[i].source, entries[i].seed, diff);
-  });
-  pool.reset();
+  sweep(
+      jobs, entries.size(), diff,
+      [&](std::size_t i) {
+        return Program{&entries[i].source, entries[i].seed};
+      },
+      [&](std::size_t i, ProgramVerdict v) { verdicts[i] = std::move(v); });
 
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (!verdicts[i].ok()) ++result.failed;

@@ -1,14 +1,17 @@
-// Fuzz campaigns: seed-parallel differential sweeps with corpus capture,
+// Fuzz campaigns: group-parallel differential sweeps with corpus capture,
 // reduction and replay — the engine behind `mphls fuzz`.
 //
-// A campaign generates one program per seed in [seedBase, seedBase+seeds),
-// runs each through the differential matrix (fuzz/diff_runner.h) on the
-// shared work-stealing ThreadPool, then — sequentially, so results are
-// deterministic at any job count — reduces every failing program against
-// exactly its failing matrix points (fuzz/reduce.h) and saves raw plus
-// minimized entries into the corpus directory (fuzz/corpus.h). Replay
-// re-runs every saved corpus entry through the matrix, turning yesterday's
-// failures into today's regression gate.
+// A campaign generates one program per seed in [seedBase, seedBase+seeds)
+// and runs each through the differential matrix (fuzz/diff_runner.h) on
+// the shared work-stealing ThreadPool, one task per (seed, design group):
+// the groups of a seed share its golden run and frontends, and a seed's
+// verdict is assembled, and its state freed, when its last group finishes.
+// Then — sequentially, so results are deterministic at any job count — it
+// reduces every failing program against exactly its failing matrix points
+// (fuzz/reduce.h) and saves raw plus minimized entries into the corpus
+// directory (fuzz/corpus.h). Replay re-runs every saved corpus entry
+// through the matrix the same way, turning yesterday's failures into
+// today's regression gate.
 #pragma once
 
 #include <cstdint>

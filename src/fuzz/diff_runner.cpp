@@ -1,7 +1,9 @@
 #include "fuzz/diff_runner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -63,11 +65,38 @@ bool sameBackend(const MatrixPoint& a, const MatrixPoint& b) {
          a.multicycle == b.multicycle && a.fus == b.fus;
 }
 
-/// The function handed to the backend, with its semantic-lint report
-/// computed on first use.
+/// A value computed by the first thread that asks for it, while later
+/// askers wait; every asker gets the value, or the exception computing it
+/// threw, rethrown.
+template <class T>
+class Once {
+ public:
+  template <class Make>
+  const T& get(Make&& make) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!done_) {
+      try {
+        value_ = make();
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+      done_ = true;
+    }
+    if (error_) std::rethrow_exception(error_);
+    return value_;
+  }
+
+ private:
+  std::mutex mutex_;
+  bool done_ = false;
+  T value_{};
+  std::exception_ptr error_;
+};
+
+/// The function handed to the backend, and its semantic-lint report.
 struct BackendInput {
   std::shared_ptr<const Function> fn;
-  std::optional<CheckReport> semantics;
+  Once<CheckReport> semantics;
 };
 
 /// One point's share of the matrix run: whether its design was
@@ -188,64 +217,78 @@ std::vector<MatrixPoint> FuzzMatrix::points() const {
 
 std::vector<MatrixPoint> ProgramVerdict::failingPoints() const {
   std::vector<MatrixPoint> pts;
-  for (const PointFailure& f : failures) {
-    bool seen = false;
-    for (const MatrixPoint& p : pts)
-      if (p.label() == f.point.label()) {
-        seen = true;
-        break;
-      }
-    if (!seen) pts.push_back(f.point);
-  }
+  for (const PointFailure& f : failures)
+    if (std::find(pts.begin(), pts.end(), f.point) == pts.end())
+      pts.push_back(f.point);
   return pts;
 }
 
-ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
-                         const DiffOptions& options) {
-  ProgramVerdict v;
-  v.seed = seed;
-  // Resolved once: the per-trial path stays free of locked name lookups.
-  obs::Counter& rtlRuns =
-      obs::MetricsRegistry::global().counter("sim.rtl_runs");
-
-  // Golden behavior: the interpreter on the raw, unoptimized compile.
-  DiagEngine diags;
-  auto golden = compileBdl(source, diags, options.top);
-  if (!golden) {
-    v.failures.push_back({MatrixPoint{}, "compile", diags.summary(), -1});
-    return v;
+GroupPlan planGroups(const DiffOptions& options) {
+  const std::vector<MatrixPoint>& pts = options.points;
+  const bool share = !options.preBackend && !options.postSynthesis;
+  GroupPlan plan;
+  plan.groupOf.resize(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    std::size_t g = plan.groups.size();
+    for (std::size_t j = 0; share && j < i; ++j)
+      if (sameBackend(pts[j], pts[i])) {
+        g = plan.groupOf[j];
+        break;
+      }
+    if (g == plan.groups.size()) plan.groups.emplace_back();
+    plan.groups[g].push_back(i);
+    plan.groupOf[i] = g;
   }
-  v.compiled = true;
+  return plan;
+}
 
-  std::vector<std::string> names;
-  for (const Port& p : golden->ports())
-    if (p.isInput) names.push_back(p.name);
+struct SourceRun::Impl {
+  Impl(const std::string& source, const DiffOptions& options,
+       const GroupPlan& plan)
+      : source(source),
+        options(options),
+        plan(plan),
+        rtlRuns(obs::MetricsRegistry::global().counter("sim.rtl_runs")),
+        outcomes(options.points.size()) {}
 
+  const std::string& source;
+  const DiffOptions& options;
+  const GroupPlan& plan;
+  /// Resolved once: the per-trial path stays free of locked name lookups.
+  obs::Counter& rtlRuns;
+
+  /// The program's verdict before the matrix: its seed, whether it
+  /// compiled, and a program-level failure.
+  ProgramVerdict early;
+  std::size_t goldenOps = 0;
   std::vector<std::map<std::string, std::uint64_t>> trialIns, goldenOuts;
-  const Interpreter gi(*golden);
-  for (int t = 0; t < options.trials; ++t) {
-    auto in = randomInputs(names, seed, t);
-    ExecResult r = gi.run(in, options.maxBlockExecs);
-    if (!r.finished) {
-      v.failures.push_back({MatrixPoint{}, "nonterminating",
-                            "behavioral execution hit the block budget",
-                            t});
-      return v;
-    }
-    trialIns.push_back(std::move(in));
-    goldenOuts.push_back(std::move(r.outputs));
-  }
 
-  // The function handed to the backend is shared by every point with the
-  // same (opt level, narrow) frontend: optimized once through FrontendCache,
-  // narrowed and Mul->Add-injected once, semantically linted once.
-  std::map<std::pair<OptLevel, bool>, BackendInput> fronts;
-  auto frontendFor = [&](const MatrixPoint& p) -> BackendInput& {
-    auto key = std::make_pair(p.opt, p.narrow);
-    auto it = fronts.find(key);
-    if (it != fronts.end()) return it->second;
-    std::shared_ptr<const Function> fn =
-        FrontendCache::global().get(source, options.top, p.opt);
+  /// Keyed by every opt level and (opt level, narrow) pair of the matrix,
+  /// all inserted by the constructor, so the maps themselves are only read
+  /// while groups run.
+  std::map<OptLevel, Once<std::shared_ptr<const Function>>> optimized;
+  std::map<std::pair<OptLevel, bool>, Once<std::unique_ptr<BackendInput>>>
+      fronts;
+
+  /// Per point, written by its group's runGroup and taken by verdict().
+  std::vector<std::optional<PointOutcome>> outcomes;
+
+  BackendInput& frontendFor(const MatrixPoint& p);
+  void runOracle(const RtlDesign& d, const MatrixPoint& p, BackendInput& in,
+                 std::vector<PointFailure>& fails, long& sims);
+  void runGroup(const std::vector<std::size_t>& group);
+};
+
+// The function handed to the backend is shared by every point with the
+// same (opt level, narrow) frontend: optimized once through FrontendCache,
+// narrowed and Mul->Add-injected once. Both narrow settings of an opt
+// level start from one lookup, so concurrent groups never compile the same
+// key twice.
+BackendInput& SourceRun::Impl::frontendFor(const MatrixPoint& p) {
+  return *fronts.at({p.opt, p.narrow}).get([&] {
+    std::shared_ptr<const Function> fn = optimized.at(p.opt).get([&] {
+      return FrontendCache::global().get(source, options.top, p.opt);
+    });
     if (p.narrow || options.inject == InjectedBug::MulToAdd) {
       auto work = std::make_shared<Function>(fn->clone());
       if (p.narrow) {
@@ -256,220 +299,262 @@ ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
       if (options.inject == InjectedBug::MulToAdd) injectMulToAdd(*work);
       fn = std::move(work);
     }
-    return fronts.emplace(key, BackendInput{std::move(fn), std::nullopt})
-        .first->second;
+    auto in = std::make_unique<BackendInput>();
+    in->fn = std::move(fn);
+    return in;
+  });
+}
+
+// The oracle over one finished design: STA, the static checkers, then
+// co-simulation against the golden outputs. Failures are labelled with
+// `p`; the caller relabels them for every point sharing the design.
+void SourceRun::Impl::runOracle(const RtlDesign& d, const MatrixPoint& p,
+                                BackendInput& in,
+                                std::vector<PointFailure>& fails,
+                                long& sims) {
+  auto fail = [&](const std::string& kind, const std::string& detail,
+                  int trial = -1) {
+    fails.push_back({p, kind, detail, trial});
   };
-
-  // The oracle over one finished design: STA, the static checkers, then
-  // co-simulation against the golden outputs. Failures are labelled with
-  // `p`; the caller relabels them for every point sharing the design.
-  auto runOracle = [&](const RtlDesign& d, const MatrixPoint& p,
-                       BackendInput& in, std::vector<PointFailure>& fails,
-                       long& sims) {
-    auto fail = [&](const std::string& kind, const std::string& detail,
-                    int trial = -1) {
-      fails.push_back({p, kind, detail, trial});
-    };
-    try {
-      if (options.check) {
-        // STA oracle, before the structural checks so its failures keep
-        // their own kinds: the timing engine must not crash on any
-        // generated design, must close timing at its own estimated clock,
-        // and must agree with the estimator it cross-validates.
-        try {
-          sta::StaResult sr = sta::runSta(d);
-          if (std::fabs(sr.cycleTime - sr.estimatedCycleTime) > 1e-6) {
-            std::ostringstream oss;
-            oss << "STA cycle time " << sr.cycleTime
-                << " != estimateTiming " << sr.estimatedCycleTime;
-            fail("sta-divergence", oss.str());
-            return;
-          }
-          if (sr.worstSlack < -1e-9 || sr.combLoop) {
-            fail("sta-negative-slack",
-                 sr.combLoop ? "combinational loop in timing graph"
-                             : sr.paths.empty()
-                                   ? "negative slack"
-                                   : sr.paths.front().describe());
-            return;
-          }
-        } catch (const std::exception& e) {
-          fail("sta-crash", e.what());
+  try {
+    if (options.check) {
+      // STA oracle, before the structural checks so its failures keep
+      // their own kinds: the timing engine must not crash on any
+      // generated design, must close timing at its own estimated clock,
+      // and must agree with the estimator it cross-validates.
+      try {
+        sta::StaResult sr = sta::runSta(d);
+        if (std::fabs(sr.cycleTime - sr.estimatedCycleTime) > 1e-6) {
+          std::ostringstream oss;
+          oss << "STA cycle time " << sr.cycleTime << " != estimateTiming "
+              << sr.estimatedCycleTime;
+          fail("sta-divergence", oss.str());
           return;
         }
-
-        // The semantic lints read only the behavioral IR, which every
-        // point of this frontend shares; their findings lead the report
-        // exactly as they would inside checkDesign.
-        if (!in.semantics) {
-          CheckReport sem;
-          checkSemantics(*in.fn, sem);
-          in.semantics = std::move(sem);
-        }
-        if (!in.semantics->clean()) {
-          fail("check", in.semantics->firstError());
+        if (sr.worstSlack < -1e-9 || sr.combLoop) {
+          fail("sta-negative-slack",
+               sr.combLoop ? "combinational loop in timing graph"
+                           : sr.paths.empty() ? "negative slack"
+                                              : sr.paths.front().describe());
           return;
         }
-        CheckOptions co;
-        co.resources = resourceLimited(p.sched)
-                           ? ResourceLimits::universalSet(p.fus)
-                           : ResourceLimits::unlimited();
-        co.latencies = p.multicycle ? OpLatencyModel::multiCycle()
-                                    : OpLatencyModel::unit();
-        co.semantics = false;
-        // The oracle above already ran the timing lint's substance with
-        // per-kind reporting; skip the duplicate inside checkDesign.
-        co.timing = false;
-        CheckReport rep = checkDesign(d, co);
-        if (!rep.clean()) {
-          fail("check", rep.firstError());
-          return;
-        }
+      } catch (const std::exception& e) {
+        fail("sta-crash", e.what());
+        return;
       }
 
-      obs::TraceSpan span("sim.rtl", [&] {
-        return "trials=" + std::to_string(options.trials);
+      // The semantic lints read only the behavioral IR, which every
+      // point of this frontend shares; their findings lead the report
+      // exactly as they would inside checkDesign.
+      const CheckReport& sem = in.semantics.get([&] {
+        CheckReport r;
+        checkSemantics(*in.fn, r);
+        return r;
       });
-      const RtlSimulator sim(d);
-      for (int t = 0; t < options.trials; ++t) {
-        const auto& in = trialIns[(std::size_t)t];
-        const auto& want = goldenOuts[(std::size_t)t];
-        rtlRuns.add(1);
-        ++sims;
-        try {
-          const RtlExecResult res = sim.run(in, options.maxCycles);
-          if (!res.finished)
-            fail("rtl-timeout",
-                 "RTL simulation did not reach the halt state", t);
-          else if (res.outputs != want)
-            fail("mismatch", describeMismatch(want, res.outputs, in), t);
-        } catch (const DesignFault& e) {
-          fail("mismatch", describeFault(e.what(), in), t);
-        }
-        if (!fails.empty() && options.stopAtFirstFailure) return;
+      if (!sem.clean()) {
+        fail("check", sem.firstError());
+        return;
       }
-    } catch (const std::exception& e) {
-      fail(exceptionKind(e.what()), e.what());
+      CheckOptions co;
+      co.resources = resourceLimited(p.sched)
+                         ? ResourceLimits::universalSet(p.fus)
+                         : ResourceLimits::unlimited();
+      co.latencies = p.multicycle ? OpLatencyModel::multiCycle()
+                                  : OpLatencyModel::unit();
+      co.semantics = false;
+      // The oracle above already ran the timing lint's substance with
+      // per-kind reporting; skip the duplicate inside checkDesign.
+      co.timing = false;
+      CheckReport rep = checkDesign(d, co);
+      if (!rep.clean()) {
+        fail("check", rep.firstError());
+        return;
+      }
     }
-  };
 
-  // Synthesize one design for the points `group` (indices into
-  // options.points, all with the same backend) and work out each point's
-  // outcome. Only the encoding tail — encodeController, estimateArea and
-  // the encoding oracle — runs per point; the design, its STA, checks and
-  // co-simulations are computed once and released before returning.
+    obs::TraceSpan span("sim.rtl", [&] {
+      return "trials=" + std::to_string(options.trials);
+    });
+    const RtlSimulator sim(d);
+    for (int t = 0; t < options.trials; ++t) {
+      const auto& in = trialIns[(std::size_t)t];
+      const auto& want = goldenOuts[(std::size_t)t];
+      rtlRuns.add(1);
+      ++sims;
+      try {
+        const RtlExecResult res = sim.run(in, options.maxCycles);
+        if (!res.finished)
+          fail("rtl-timeout", "RTL simulation did not reach the halt state",
+               t);
+        else if (res.outputs != want)
+          fail("mismatch", describeMismatch(want, res.outputs, in), t);
+      } catch (const DesignFault& e) {
+        fail("mismatch", describeFault(e.what(), in), t);
+      }
+      if (!fails.empty() && options.stopAtFirstFailure) return;
+    }
+  } catch (const std::exception& e) {
+    fail(exceptionKind(e.what()), e.what());
+  }
+}
+
+// Synthesize one design for the points `group` (indices into
+// options.points, all with the same backend) and work out each point's
+// outcome. Only the encoding tail — encodeController, estimateArea and
+// the encoding oracle — runs per point; the design, its STA, checks and
+// co-simulations are computed once and released before returning.
+void SourceRun::Impl::runGroup(const std::vector<std::size_t>& group) {
   const std::vector<MatrixPoint>& pts = options.points;
-  auto runGroup = [&](const std::vector<std::size_t>& group) {
-    std::vector<PointOutcome> out(group.size());
-    const MatrixPoint& p = pts[group.front()];
-    std::vector<PointFailure> shared;
-    long sims = 0;
-    std::vector<std::string> encoding(group.size());
-    try {
-      SynthesisOptions so = p.toOptions();
-      // With the oracle on, it runs STA on the finished design once; the
-      // synthesizer's timing check would only repeat it.
-      so.check = !options.check;
-      Synthesizer synth(so);
-      BackendInput* in = &frontendFor(p);
-      BackendInput hooked;
-      if (options.preBackend) {
-        auto work = std::make_shared<Function>(in->fn->clone());
-        options.preBackend(*work, p);
-        hooked.fn = std::move(work);
-        in = &hooked;
-      }
-      SynthesisResult r = synth.synthesizeOptimized(*in->fn);
+  const MatrixPoint& p = pts[group.front()];
+  obs::TraceSpan span("fuzz.group", [&] {
+    // The point's label without the encoding the group's points vary.
+    std::string label = p.label();
+    const std::size_t enc = label.find(" enc=");
+    label.erase(enc, label.find(' ', enc + 1) - enc);
+    return label + " ops=" + std::to_string(goldenOps);
+  });
+  std::vector<PointFailure> shared;
+  long sims = 0;
+  std::vector<std::string> encoding(group.size());
+  try {
+    SynthesisOptions so = p.toOptions();
+    // With the oracle on, it runs STA on the finished design once; the
+    // synthesizer's timing check would only repeat it.
+    so.check = !options.check;
+    Synthesizer synth(so);
+    BackendInput* in = &frontendFor(p);
+    BackendInput hooked;
+    if (options.preBackend) {
+      auto work = std::make_shared<Function>(in->fn->clone());
+      options.preBackend(*work, p);
+      hooked.fn = std::move(work);
+      in = &hooked;
+    }
+    SynthesisResult r = synth.synthesizeOptimized(*in->fn);
 
-      // The encoding tail runs on the controller as synthesized, before
-      // any injected mutation rebuilds it, as each point's own synthesis
-      // would.
-      encoding[0] = validateEncoding(r.fsm, r.design.ctrl);
-      for (std::size_t k = 1; k < group.size(); ++k) {
-        EncodedFsm fsm;
-        {
-          obs::TraceSpan span("stage.control", "encode");
-          fsm = encodeController(r.design.ctrl, r.design.ic, r.design.binding,
-                                 pts[group[k]].enc);
-        }
-        {
-          // The area estimate prices the encoded controller, so it is part
-          // of each encoding's tail.
-          obs::TraceSpan span("stage.estimate");
-          (void)estimateArea(r.design, fsm);
-        }
-        encoding[k] = validateEncoding(fsm, r.design.ctrl);
+    // The encoding tail runs on the controller as synthesized, before
+    // any injected mutation rebuilds it, as each point's own synthesis
+    // would.
+    encoding[0] = validateEncoding(r.fsm, r.design.ctrl);
+    for (std::size_t k = 1; k < group.size(); ++k) {
+      EncodedFsm fsm;
+      {
+        obs::TraceSpan span("stage.control", "encode");
+        fsm = encodeController(r.design.ctrl, r.design.ic, r.design.binding,
+                               pts[group[k]].enc);
       }
-
-      OpLatencyModel lat = p.multicycle ? OpLatencyModel::multiCycle()
-                                        : OpLatencyModel::unit();
-      if (options.inject == InjectedBug::ScheduleShift)
-        injectScheduleShift(r.design, lat);
-      if (options.inject == InjectedBug::SwappedBinding)
-        injectSwappedBinding(r.design, lat);
-      if (options.postSynthesis) options.postSynthesis(r, p);
-      runOracle(r.design, p, *in, shared, sims);
-    } catch (const std::exception& e) {
-      // Synthesis, an encoding tail or the mutation threw: every point of
-      // the group fails the same way.
-      for (std::size_t k = 0; k < group.size(); ++k)
-        out[k].failures.push_back(
-            {pts[group[k]], exceptionKind(e.what()), e.what(), -1});
-      return out;
+      {
+        // The area estimate prices the encoded controller, so it is part
+        // of each encoding's tail.
+        obs::TraceSpan span("stage.estimate");
+        (void)estimateArea(r.design, fsm);
+      }
+      encoding[k] = validateEncoding(fsm, r.design.ctrl);
     }
 
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      const MatrixPoint& q = pts[group[k]];
-      PointOutcome& o = out[k];
-      o.synthesized = true;
-      if (!encoding[k].empty()) {
-        o.failures.push_back({q, "encoding", encoding[k], -1});
-        if (options.stopAtFirstFailure) continue;
-      }
-      o.simulations = sims;
-      for (const PointFailure& f : shared) {
-        o.failures.push_back(f);
-        o.failures.back().point = q;
-      }
-    }
-    return out;
-  };
-
-  // Points that differ only in their state encoding share one design
-  // (§2 encodes the controller after scheduling, allocation and controller
-  // construction). Per-point hooks see the full point, so they turn
-  // sharing off.
-  const bool share = !options.preBackend && !options.postSynthesis;
-  std::vector<std::size_t> leader(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    leader[i] = i;
-    for (std::size_t j = 0; share && j < i; ++j)
-      if (sameBackend(pts[j], pts[i])) {
-        leader[i] = j;
-        break;
-      }
+    OpLatencyModel lat = p.multicycle ? OpLatencyModel::multiCycle()
+                                      : OpLatencyModel::unit();
+    if (options.inject == InjectedBug::ScheduleShift)
+      injectScheduleShift(r.design, lat);
+    if (options.inject == InjectedBug::SwappedBinding)
+      injectSwappedBinding(r.design, lat);
+    if (options.postSynthesis) options.postSynthesis(r, p);
+    runOracle(r.design, p, *in, shared, sims);
+  } catch (const std::exception& e) {
+    // Synthesis, an encoding tail or the mutation threw: every point of
+    // the group fails the same way.
+    for (std::size_t i : group)
+      outcomes[i] = PointOutcome{
+          false, 0, {{pts[i], exceptionKind(e.what()), e.what(), -1}}};
+    return;
   }
 
-  // Outcomes are reported in point order; a group's are computed when its
-  // first point comes up and each is dropped once reported.
-  std::vector<std::optional<PointOutcome>> outcomes(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (!outcomes[i]) {
-      std::vector<std::size_t> group;
-      for (std::size_t j = i; j < pts.size(); ++j)
-        if (leader[j] == i) group.push_back(j);
-      std::vector<PointOutcome> res = runGroup(group);
-      for (std::size_t k = 0; k < group.size(); ++k)
-        outcomes[group[k]] = std::move(res[k]);
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    const MatrixPoint& q = pts[group[k]];
+    PointOutcome& o = outcomes[group[k]].emplace();
+    o.synthesized = true;
+    if (!encoding[k].empty()) {
+      o.failures.push_back({q, "encoding", encoding[k], -1});
+      if (options.stopAtFirstFailure) continue;
     }
-    PointOutcome o = std::move(*outcomes[i]);
-    outcomes[i].reset();
+    o.simulations = sims;
+    for (const PointFailure& f : shared) {
+      o.failures.push_back(f);
+      o.failures.back().point = q;
+    }
+  }
+}
+
+SourceRun::SourceRun(const std::string& source, std::uint64_t seed,
+                     const DiffOptions& options, const GroupPlan& plan)
+    : impl_(std::make_unique<Impl>(source, options, plan)) {
+  Impl& s = *impl_;
+  obs::TraceSpan span("fuzz.golden", [&] {
+    return "trials=" + std::to_string(options.trials);
+  });
+  s.early.seed = seed;
+
+  // Golden behavior: the interpreter on the raw, unoptimized compile.
+  DiagEngine diags;
+  auto golden = compileBdl(source, diags, options.top);
+  if (!golden) {
+    s.early.failures.push_back(
+        {MatrixPoint{}, "compile", diags.summary(), -1});
+    return;
+  }
+  s.early.compiled = true;
+  s.goldenOps = golden->numLiveOps();
+
+  std::vector<std::string> names;
+  for (const Port& p : golden->ports())
+    if (p.isInput) names.push_back(p.name);
+
+  const Interpreter gi(*golden);
+  for (int t = 0; t < options.trials; ++t) {
+    auto in = randomInputs(names, seed, t);
+    ExecResult r = gi.run(in, options.maxBlockExecs);
+    if (!r.finished) {
+      s.early.failures.push_back({MatrixPoint{}, "nonterminating",
+                                  "behavioral execution hit the block budget",
+                                  t});
+      return;
+    }
+    s.trialIns.push_back(std::move(in));
+    s.goldenOuts.push_back(std::move(r.outputs));
+  }
+  for (const MatrixPoint& p : options.points) {
+    s.optimized.try_emplace(p.opt);
+    s.fronts.try_emplace({p.opt, p.narrow});
+  }
+}
+
+SourceRun::~SourceRun() = default;
+
+void SourceRun::runGroup(std::size_t g) {
+  if (impl_->early.ok()) impl_->runGroup(impl_->plan.groups[g]);
+}
+
+ProgramVerdict SourceRun::verdict() {
+  Impl& s = *impl_;
+  ProgramVerdict v = std::move(s.early);
+  if (!v.ok()) return v;
+  // Outcomes are reported in point order, each dropped once reported.
+  for (std::size_t i = 0; i < s.outcomes.size(); ++i) {
+    if (!s.outcomes[i]) s.runGroup(s.plan.groups[s.plan.groupOf[i]]);
+    PointOutcome o = std::move(*s.outcomes[i]);
+    s.outcomes[i].reset();
     if (o.synthesized) ++v.pointsRun;
     v.simulations += o.simulations;
     for (PointFailure& f : o.failures) v.failures.push_back(std::move(f));
-    if (!o.failures.empty() && options.stopAtFirstFailure) return v;
+    if (!o.failures.empty() && s.options.stopAtFirstFailure) return v;
   }
   return v;
+}
+
+ProgramVerdict runSource(const std::string& source, std::uint64_t seed,
+                         const DiffOptions& options) {
+  const GroupPlan plan = planGroups(options);
+  return SourceRun(source, seed, options, plan).verdict();
 }
 
 }  // namespace mphls::fuzz

@@ -25,7 +25,10 @@
 //
 // A shared design's verdict is copied to each of its points with that
 // point's label, in point order, so the report reads as if every point ran
-// alone. Any disagreement — a mismatch, a check finding, a simulator that
+// alone. SourceRun splits that work into steps — the golden run, one task
+// per design group, the verdict — so a campaign can spread one program's
+// groups over threads; runSource runs the same steps on the caller. Any
+// disagreement — a mismatch, a check finding, a simulator that
 // never halts, or an exception out of the pipeline — is recorded as a
 // PointFailure naming the exact matrix point, which is what the reducer
 // and the corpus replay key on. An RTL run that faults (a read of an
@@ -35,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,6 +62,8 @@ struct MatrixPoint {
   /// "sched=list fu=greedy reg=leftedge enc=binary opt=standard narrow=0
   ///  lat=unit fus=2".
   [[nodiscard]] std::string label() const;
+
+  bool operator==(const MatrixPoint&) const = default;
 
   /// Synthesis options reproducing this point on its own: timing check
   /// armed, narrowing off (runSource narrows the shared frontend itself and
@@ -141,7 +147,8 @@ struct DiffOptions {
   /// miscompile), or the finished result before checking/simulation (a
   /// synthetic corrupted design). Both see the full point, so setting
   /// either makes every point synthesize and check its own design. The
-  /// semantic lints read the function handed to the backend.
+  /// semantic lints read the function handed to the backend. A campaign
+  /// calls them from several threads at once.
   std::function<void(Function&, const MatrixPoint&)> preBackend;
   std::function<void(SynthesisResult&, const MatrixPoint&)> postSynthesis;
   std::string top;
@@ -149,7 +156,56 @@ struct DiffOptions {
   long maxCycles = 1000000;
 };
 
-/// Run the full differential matrix over one program.
+/// The matrix points grouped by the design they synthesize. Points that
+/// differ only in their state encoding share one design (§2 encodes the
+/// controller after scheduling, allocation and controller construction);
+/// per-point hooks see the full point, so they turn sharing off. A pure
+/// function of the options, so a campaign plans once for all its programs.
+struct GroupPlan {
+  /// Each group's point indices, ascending; groups ordered by first point.
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> groupOf;  ///< point index -> group index
+};
+[[nodiscard]] GroupPlan planGroups(const DiffOptions& options);
+
+/// One program's run over the matrix, in three steps:
+///
+///   1. the constructor compiles the program and runs the golden
+///      behavior; a program that fails to compile or never halts ends
+///      here, and its groups do nothing;
+///   2. runGroup(g) synthesizes group g's design once and runs the oracle
+///      on it. Distinct groups may run concurrently: the frontends they
+///      share are built once per (opt level, narrow), from one
+///      FrontendCache lookup per opt level, and linted once, each by the
+///      first group to ask while the others wait;
+///   3. verdict() reports every point in point order, running any group
+///      not yet run when its first point comes up (so under
+///      stopAtFirstFailure a serial caller runs no group past the first
+///      failure).
+///
+/// `source`, `options` and `plan` must outlive the run.
+class SourceRun {
+ public:
+  SourceRun(const std::string& source, std::uint64_t seed,
+            const DiffOptions& options, const GroupPlan& plan);
+  ~SourceRun();
+  SourceRun(const SourceRun&) = delete;
+  SourceRun& operator=(const SourceRun&) = delete;
+
+  /// Run group `g`, an index into plan.groups. Each group runs at most
+  /// once; distinct groups may run on different threads at once.
+  void runGroup(std::size_t g);
+
+  /// The program's verdict. Call once, after every runGroup has returned.
+  [[nodiscard]] ProgramVerdict verdict();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Run the full differential matrix over one program on the caller's
+/// thread: SourceRun's steps, with the groups run by verdict().
 [[nodiscard]] ProgramVerdict runSource(const std::string& source,
                                        std::uint64_t seed,
                                        const DiffOptions& options);

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "core/frontend_cache.h"
 #include "fuzz/bdl_gen.h"
 #include "fuzz/campaign.h"
 #include "fuzz/corpus.h"
@@ -280,6 +284,33 @@ TEST(FuzzDiff, DesignFaultIsAMismatchOnItsTrial) {
   EXPECT_GT(faults, 0) << verdictText(v);
 }
 
+TEST(FuzzDiff, SourceRunGroupsOnThreadsMatchRunSource) {
+  // The groups of one program run on four threads, last group first;
+  // the verdict is runSource's, with shared and with per-point designs.
+  fuzz::DiffOptions hooked;
+  hooked.postSynthesis = [](SynthesisResult&, const fuzz::MatrixPoint&) {};
+  fuzz::DiffOptions mul;
+  mul.inject = InjectedBug::MulToAdd;
+  for (const fuzz::DiffOptions& d : {mul, hooked}) {
+    const fuzz::GroupPlan plan = fuzz::planGroups(d);
+    for (std::uint64_t seed : {1ull, 3ull}) {
+      const std::string src = fuzz::generateProgram(seed).render();
+      fuzz::SourceRun run(src, seed, d, plan);
+      std::atomic<std::size_t> next{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&] {
+          for (std::size_t k; (k = next++) < plan.groups.size();)
+            run.runGroup(plan.groups.size() - 1 - k);
+        });
+      for (std::thread& t : threads) t.join();
+      EXPECT_EQ(verdictText(run.verdict()),
+                verdictText(fuzz::runSource(src, seed, d)))
+          << "seed " << seed;
+    }
+  }
+}
+
 // ----------------------------------------------------------------- reducer
 
 TEST(FuzzReduce, ShrinksInjectedMiscompileWitness) {
@@ -386,29 +417,92 @@ TEST(FuzzCorpus, SaveLoadReplayRoundTrip) {
 
 // ---------------------------------------------------------------- campaign
 
-TEST(FuzzCampaign, DeterministicAcrossJobCounts) {
-  fuzz::CampaignOptions c;
-  c.seeds = 6;
-  c.diff = quickDiff();
-  c.diff.inject = InjectedBug::MulToAdd;  // force some failures
-  c.jobs = 1;
-  fuzz::CampaignResult serial = fuzz::runCampaign(c);
-  c.jobs = 4;
-  fuzz::CampaignResult parallel = fuzz::runCampaign(c);
+/// A campaign's report, minus the wall-time keys and the job count, then
+/// every failing program's source and full verdict.
+std::string campaignText(const fuzz::CampaignOptions& c,
+                         const fuzz::CampaignResult& r) {
+  JsonValue j = fuzz::campaignReport(c, r, "standard");
+  for (const char* key :
+       {"jobs", "wall_seconds", "seeds_per_sec", "cosims_per_sec"})
+    j[key] = 0;
+  std::string s = j.dump();
+  for (const fuzz::FailureCase& fc : r.failures)
+    s += fc.source + verdictText(fc.verdict);
+  return s;
+}
 
-  EXPECT_EQ(serial.failedPrograms, parallel.failedPrograms);
-  EXPECT_EQ(serial.mismatches, parallel.mismatches);
-  EXPECT_EQ(serial.pointsRun, parallel.pointsRun);
-  EXPECT_EQ(serial.simulations, parallel.simulations);
-  ASSERT_EQ(serial.failures.size(), parallel.failures.size());
-  EXPECT_GE(serial.failures.size(), 1u);
-  for (std::size_t i = 0; i < serial.failures.size(); ++i) {
-    EXPECT_EQ(serial.failures[i].verdict.seed,
-              parallel.failures[i].verdict.seed);
-    EXPECT_EQ(serial.failures[i].source, parallel.failures[i].source);
-    EXPECT_EQ(serial.failures[i].verdict.failures.front().detail,
-              parallel.failures[i].verdict.failures.front().detail);
+TEST(FuzzCampaign, DeterministicAcrossJobCounts) {
+  // A seed's design groups run as separate tasks, in any interleaving with
+  // other seeds'; the report and each failing program's verdict must not
+  // depend on the job count, also when a shifted schedule makes designs
+  // fault in simulation with the checkers off.
+  struct Case {
+    InjectedBug bug;
+    bool check;
+  };
+  for (const Case& k : {Case{InjectedBug::MulToAdd, true},
+                        Case{InjectedBug::ScheduleShift, false}}) {
+    fuzz::CampaignOptions c;
+    c.seeds = 6;
+    c.diff.inject = k.bug;
+    c.diff.check = k.check;
+    c.jobs = 1;
+    const fuzz::CampaignResult serial = fuzz::runCampaign(c);
+    EXPECT_GE(serial.failedPrograms, 1) << "inject " << (int)k.bug;
+    const std::string want = campaignText(c, serial);
+    for (int jobs : {2, 4, 7}) {
+      c.jobs = jobs;
+      EXPECT_EQ(campaignText(c, fuzz::runCampaign(c)), want)
+          << "inject " << (int)k.bug << " jobs " << jobs;
+    }
   }
+}
+
+TEST(FuzzCampaign, ReplayDeterministicAcrossJobCounts) {
+  // Corpus replay schedules (entry, design group) tasks like a campaign.
+  TempDir tmp("replay-jobs");
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    fuzz::CorpusEntry e;
+    e.name = "seed-" + std::to_string(seed);
+    e.seed = seed;
+    e.kind = "fixture";
+    ASSERT_TRUE(fuzz::saveEntry(tmp.path.string(), e,
+                                fuzz::generateProgram(seed).render()));
+  }
+  fuzz::DiffOptions d;
+  d.inject = InjectedBug::SwappedBinding;
+  auto replayText = [](const fuzz::ReplayResult& r) {
+    std::string s = std::to_string(r.entries) + " entries, " +
+                    std::to_string(r.failed) + " failing\n";
+    for (const fuzz::ReplayOutcome& o : r.outcomes)
+      s += o.name + ": " + verdictText(o.verdict);
+    return s;
+  };
+  const fuzz::ReplayResult serial =
+      fuzz::replayCorpus(tmp.path.string(), d, 1);
+  EXPECT_GE(serial.failed, 1);
+  const std::string want = replayText(serial);
+  for (int jobs : {2, 4, 7})
+    EXPECT_EQ(replayText(fuzz::replayCorpus(tmp.path.string(), d, jobs)),
+              want)
+        << jobs;
+}
+
+TEST(FuzzCampaign, ConcurrentGroupsCompileAndSynthesizeOnce) {
+  // The 12 design groups of each seed run on four workers at once, yet
+  // each seed's frontend is compiled once (the standard matrix has one
+  // opt level) and each of its designs synthesized once.
+  auto& mr = obs::MetricsRegistry::global();
+  FrontendCache::global().clear();
+  const std::size_t misses = FrontendCache::global().misses();
+  const std::uint64_t runs = mr.counter("synth.runs").value();
+  fuzz::CampaignOptions c;
+  c.seeds = 12;
+  c.jobs = 4;
+  const fuzz::CampaignResult r = fuzz::runCampaign(c);
+  ASSERT_TRUE(r.clean());
+  EXPECT_EQ(FrontendCache::global().misses() - misses, 12u);
+  EXPECT_EQ(mr.counter("synth.runs").value() - runs, 12u * 12u);
 }
 
 TEST(FuzzCampaign, ReportCarriesTheCampaignShape) {
