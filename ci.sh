@@ -16,8 +16,8 @@
 #  - a static-timing gate (path-level STA over every built-in,
 #    cross-validated against the estimator, plus a must-fail tight-clock
 #    run);
-#  - a hostile-numeric-option gate (out-of-range CLI numbers must be
-#    usage errors);
+#  - a hostile-numeric-option gate (out-of-range or malformed CLI numbers
+#    must be usage errors);
 #  - a fixed-seed differential fuzz campaign, plus injected miscompile,
 #    schedule-shift and operand-swap round trips that must be caught;
 #  - a 200-seed standard-matrix co-simulation gate (zero failing programs
@@ -214,13 +214,15 @@ if ./build/src/cli/mphls sta --clock 2.0 examples/sqrt.bdl --quiet \
   exit 1
 fi
 
-# --- Hostile numeric options: non-integral or out-of-range values are
-# usage errors (exit 2) before anything runs, never truncated (2.5 -> 2),
-# overflowed (1e12) or left to exhaust time and memory (a 1e5-step
-# force-directed schedule). $opts is word-split on purpose.
+# --- Hostile numeric options: non-integral, malformed or out-of-range
+# values are usage errors (exit 2) before anything runs, never read as 0
+# (a --verify value of zz), truncated (2.5 -> 2), overflowed (1e12) or
+# left to exhaust time and memory (a 1e5-step force-directed schedule).
+# $opts is word-split on purpose.
 for opts in "--fus 2.5" "--fus 1e12" "--fus 0" "--time-constraint -5" \
     "--scheduler force --time-constraint 100000" "--jobs 0" \
-    "sta --clock -1" "sta --clock 1e300" "sta --paths 2.5"; do
+    "sta --clock -1" "sta --clock 1e300" "sta --paths 2.5" \
+    "--verify x=zz"; do
   rc=0
   ./build/src/cli/mphls $opts examples/sqrt.bdl > /dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 2 ]; then
@@ -228,6 +230,15 @@ for opts in "--fus 2.5" "--fus 1e12" "--fus 0" "--time-constraint -5" \
     exit 1
   fi
 done
+# `fuzz` takes no design file; a seed base that is not a number is a usage
+# error too, not seed 0.
+rc=0
+./build/src/cli/mphls fuzz --seeds 1 --seed-base abc --matrix quick \
+  > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "hostile option 'fuzz --seed-base abc' exited $rc, want 2 (usage)" >&2
+  exit 1
+fi
 
 # --- Differential fuzz smoke: a fixed-seed campaign over the standard
 # scheduler/allocator/encoding matrix must co-simulate clean (any failure
@@ -313,7 +324,9 @@ cmake --build build-tsan -j"$(nproc)" --target mphls_tests
 # interconnect allocation spans must be in the trace. A traced
 # `mphls lint` must be just as well-formed and show the netlist emit, the
 # netlist lint and the timing engine's spans, and each analyzer's sized
-# check.* span; a traced force-directed
+# span, once: a stage.check span for the schedule, binding and controller
+# analyzers, a check.* span for the timing and netlist lints; a traced
+# force-directed
 # `mphls profile` must show a sized sched.force span per block; a traced
 # `mphls synth --no-check` must still run the schedule, binding and
 # controller stage-exit checks and skip only the timing oracle; a traced
@@ -385,13 +398,22 @@ lint_names = span_names(sys.argv[4])
 for span in ("lint.verilog", "rtl.verilog", "sta.run", "sta.graph",
              "sta.structural"):
     assert span in lint_names, f"lint trace missing span {span}"
-# Each analyzer of the lint runs in its own span sized by its work.
-for span, size in (("check.schedule", "ops="), ("check.binding", "ops="),
-                   ("check.controller", "states="),
-                   ("check.timing", "states="), ("check.netlist", "ops=")):
-    details = [e.get("args", {}).get("detail", "")
-               for e in json.load(open(sys.argv[4]))["traceEvents"]
-               if e["ph"] == "B" and e["name"] == span]
+# Each analyzer of the lint runs once, in its own span sized by its work:
+# the structural ones at synthesis's stage exits, the rest after it.
+lint_events = [e for e in json.load(open(sys.argv[4]))["traceEvents"]
+               if e["ph"] == "B"]
+stage_checks = [e.get("args", {}).get("detail", "") for e in lint_events
+                if e["name"] == "stage.check"]
+for which, size in (("schedule", "ops="), ("binding", "ops="),
+                    ("controller", "states=")):
+    details = [d for d in stage_checks if d.split(" ")[0] == which]
+    assert len(details) == 1 and details[0].startswith(f"{which} {size}"), \
+        f"lint trace lacks one sized {which} stage.check span: {stage_checks}"
+    assert not any(e["name"] == f"check.{which}" for e in lint_events), \
+        f"lint trace re-runs the {which} analyzer"
+for span, size in (("check.timing", "states="), ("check.netlist", "ops=")):
+    details = [e.get("args", {}).get("detail", "") for e in lint_events
+               if e["name"] == span]
     assert details and all(d.startswith(size) for d in details), \
         f"lint trace lacks a sized {span} span: {details}"
 

@@ -15,27 +15,27 @@ CheckReport checkDesign(const RtlDesign& design, const CheckOptions& options) {
   };
   CheckReport report;
   if (options.semantics) checkSemantics(design.fn, report);
-  if (options.schedule) {
+  if (options.structure) {
     obs::TraceSpan span("check.schedule", ops);
     checkSchedule(design.fn, design.sched, options.resources,
                   options.latencies, report);
   }
-  if (options.binding) {
+  if (options.structure) {
     obs::TraceSpan span("check.binding", ops);
     checkBinding(design.fn, design.sched, design.lifetimes, design.regs,
                  design.binding, design.ic, design.lib, options.latencies,
                  report);
   }
-  if (options.controller) {
+  if (options.structure) {
     obs::TraceSpan span("check.controller", states);
     checkController(design.fn, design.sched, design.ctrl, design.ic,
                     design.binding, options.latencies, report);
   }
   if (options.timing) {
     obs::TraceSpan span("check.timing", states);
-    checkTiming(design, options.timingOptions, report);
+    checkTiming(design, {}, report);
   }
-  if (options.netlist && options.latencies.isUnit()) {
+  if (options.latencies.isUnit()) {
     obs::TraceSpan span("check.netlist", ops);
     lintVerilog(emitVerilog(design), report);
   }

@@ -1,7 +1,7 @@
-// Whole-flow static verification: run every stage-boundary analyzer over a
-// finished RTL design and collect one report. This is what `mphls lint`
-// executes, and what the test suite uses to assert that known-good designs
-// are check-clean while hand-corrupted ones fail with precise check ids.
+// Whole-flow static verification: run the stage-boundary analyzers over a
+// finished RTL design and collect one report. `mphls lint` adds the lints
+// synthesis does not run; tests assert that known-good designs are
+// check-clean while hand-corrupted ones fail with precise check ids.
 #pragma once
 
 #include "check/check_binding.h"
@@ -20,23 +20,21 @@ struct CheckOptions {
   /// concurrency check, e.g. for time-constrained schedulers).
   ResourceLimits resources = ResourceLimits::unlimited();
   OpLatencyModel latencies = OpLatencyModel::unit();
-  bool schedule = true;
-  bool binding = true;
-  bool controller = true;
+  /// Run schedule legality, binding consistency and controller
+  /// completeness. False for a design fresh from Synthesizer, whose stage
+  /// exits already ran these analyzers.
+  bool structure = true;
   /// Run the abstract-interpretation semantic lints (check_semantics.h)
   /// over the behavioral IR: read-before-write, dead branches, unreachable
   /// blocks, guaranteed truncation, possible division by zero.
   bool semantics = true;
-  /// Emit Verilog and lint the netlist. Skipped automatically for
-  /// multicycle latency models (the emitter supports unit latency only).
-  bool netlist = true;
-  /// Run the timing-closure lint (check_timing.h): negative slack at the
-  /// declared clock, STA-vs-estimator cross-validation, chain overruns.
+  /// Run the timing-closure lint (check_timing.h) at the estimated clock:
+  /// negative slack, STA-vs-estimator cross-validation, chain overruns.
   bool timing = true;
-  TimingLintOptions timingOptions;
 };
 
-/// Run all enabled analyzers; findings accumulate in one report.
+/// Run all enabled analyzers, then lint the emitted Verilog (unit latency
+/// only, as the emitter); findings accumulate in one report.
 [[nodiscard]] CheckReport checkDesign(const RtlDesign& design,
                                       const CheckOptions& options = {});
 

@@ -2,10 +2,11 @@
 //
 // Usage: see usage() below (`mphls` with no arguments prints it).
 //
-// The `lint` subcommand synthesizes the design and prints the full static
-// verification report (schedule legality, binding consistency, controller
-// completeness, Verilog netlist lint) instead of the synthesis summary;
-// it exits 1 if any error-severity finding is reported. `--format json`
+// The `lint` subcommand synthesizes the design, whose stage exits check
+// schedule legality, binding consistency and controller completeness, then
+// prints the report of the semantic, timing-closure and Verilog netlist
+// lints instead of the synthesis summary; it exits 1 if a stage exit or
+// any error-severity finding fails. `--format json`
 // switches the report to one machine-readable JSON object
 // ({"file","diagnostics":[{"severity","code","where","message"}],...}).
 //
@@ -51,10 +52,12 @@
 // The `fuzz` subcommand runs the differential co-simulation fuzzer
 // (src/fuzz/): deterministic random BDL programs are synthesized across a
 // scheduler × allocator × encoding × narrow matrix, every point is gated
-// through checkDesign, and the RTL is co-simulated against the behavioral
-// interpreter. Failures are saved (raw + delta-debug-minimized with
-// --reduce) under the corpus directory; --replay DIR re-runs saved corpus
-// entries as a regression gate. Exits 1 on any failure.
+// on STA and the static lints (the structural analyzers re-run only on a
+// design that --inject sched|bind changed after synthesis), and the RTL is
+// co-simulated against the behavioral interpreter. Failures are saved (raw
+// + delta-debug-minimized with --reduce) under the corpus directory;
+// --replay DIR re-runs saved corpus entries as a regression gate. Exits 1
+// on any failure.
 //
 // The synthesis options (scheduler, allocators, encoding, limits) are the
 // rows of the option table in core/options.h; usage() lists them.
@@ -169,9 +172,10 @@ bool parseInputs(const std::string& spec,
   std::string item;
   while (std::getline(ss, item, ',')) {
     auto eq = item.find('=');
-    if (eq == std::string::npos) return false;
-    out[item.substr(0, eq)] =
-        std::strtoull(item.c_str() + eq + 1, nullptr, 0);
+    if (eq == std::string::npos ||
+        !parseU64(std::string_view(item).substr(eq + 1),
+                  out[item.substr(0, eq)]))
+      return false;
   }
   return true;
 }
@@ -704,7 +708,7 @@ int runFuzz(int argc, char** argv) {
     if (arg == "--seeds" && (v = next())) {
       if (!parseInt(v, kCount, c.seeds)) return (usage(), 2);
     } else if (arg == "--seed-base" && (v = next())) {
-      c.seedBase = std::strtoull(v, nullptr, 0);
+      if (!parseU64(v, c.seedBase)) return (usage(), 2);
     } else if (arg == "--jobs" && (v = next())) {
       if (!parseInt(v, kJobsRange, c.jobs)) return (usage(), 2);
     } else if (arg == "--matrix" && (v = next())) {
@@ -898,7 +902,7 @@ int runLoadgenCmd(int argc, char** argv) {
     } else if (arg == "--mix" && (v = next())) {
       lo.mix = v;
     } else if (arg == "--seed" && (v = next())) {
-      lo.seed = std::strtoull(v, nullptr, 0);
+      if (!parseU64(v, lo.seed)) return (usage(), 2);
     } else if (arg == "--out" && (v = next())) {
       lo.reportPath = v;
     } else if (arg == "--quiet") {

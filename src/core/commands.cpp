@@ -111,10 +111,8 @@ Outcome<CheckReport> lint(const Request& req) {
                             out.failure);
   if (!r) return out;
   CheckOptions copts;
-  copts.resources = resourceLimited(req.opts.scheduler)
-                        ? req.opts.resources
-                        : ResourceLimits::unlimited();
   copts.latencies = req.opts.latencies;
+  copts.structure = false;  // synthesize() ran them at its stage exits
   out.value = checkDesign(r->design, copts);
   return out;
 }

@@ -100,8 +100,9 @@ struct ProveOutcome {
 /// Synthesize the design.
 [[nodiscard]] Outcome<SynthesisResult> synth(const Request& req);
 
-/// Synthesize with the timing check off, then run the full static
-/// verification (checkDesign) on the finished design.
+/// Synthesize with the timing check off, then run the rest of the static
+/// verification (checkDesign: semantic, timing and netlist lints) on the
+/// finished design; synthesis's stage exits ran the structural analyzers.
 [[nodiscard]] Outcome<CheckReport> lint(const Request& req);
 
 /// Abstract interpretation plus the semantic lints over the behavioral IR.

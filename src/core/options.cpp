@@ -1,8 +1,11 @@
 #include "core/options.h"
 
+#include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/json_reader.h"
 
@@ -150,6 +153,19 @@ bool parseInt(std::string_view text, const NumRange& range, int& out) {
   if (!parseNumber(text, range, v) || v < INT_MIN || v > INT_MAX)
     return false;
   out = (int)v;
+  return true;
+}
+
+bool parseU64(std::string_view text, std::uint64_t& out) {
+  const std::string s(text);
+  const std::size_t digit = s.find_first_not_of(" \t\n\v\f\r");
+  if (digit == std::string::npos || !std::isdigit((unsigned char)s[digit]))
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+  if (errno == ERANGE || end != s.c_str() + s.size()) return false;
+  out = v;
   return true;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <climits>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -79,6 +80,10 @@ struct OptionRow {
                                double& out);
 [[nodiscard]] bool parseInt(std::string_view text, const NumRange& range,
                             int& out);
+/// Parse a CLI 64-bit seed or input value: the whole string, decimal, 0x hex
+/// or 0 octal (strtoull base 0). Empty text, a sign, trailing characters
+/// and overflow are rejected.
+[[nodiscard]] bool parseU64(std::string_view text, std::uint64_t& out);
 
 /// The option lines of `mphls` usage, one per row.
 [[nodiscard]] std::string optionUsage();

@@ -362,9 +362,13 @@ void SourceRun::Impl::runOracle(const RtlDesign& d, const MatrixPoint& p,
       co.latencies = p.multicycle ? OpLatencyModel::multiCycle()
                                   : OpLatencyModel::unit();
       co.semantics = false;
-      // The oracle above already ran the timing lint's substance with
-      // per-kind reporting; skip the duplicate inside checkDesign.
+      // The STA block above ran the timing lint's substance with per-kind
+      // reporting, and the stage exits checked the design as synthesized:
+      // only a change made after synthesis needs the structural analyzers.
       co.timing = false;
+      co.structure = options.inject == InjectedBug::ScheduleShift ||
+                     options.inject == InjectedBug::SwappedBinding ||
+                     bool(options.postSynthesis);
       CheckReport rep = checkDesign(d, co);
       if (!rep.clean()) {
         fail("check", rep.firstError());

@@ -13,11 +13,12 @@
 //   2. points that differ only in their state encoding share one design
 //      (the tutorial's §2 encodes the controller after the schedule, the
 //      allocation and the controller are fixed): one synthesis, one STA
-//      run, one checkDesign/lint pass and one set of co-simulations on
-//      all-zeros, all-ones and seeded-random inputs. The synthesizer's
-//      timing check is off while this oracle runs (it checks the finished,
-//      possibly mutated design instead) and on under --no-check; its
-//      structural stage-exit checks always run;
+//      run, one netlist lint and one set of co-simulations on all-zeros,
+//      all-ones and seeded-random inputs. The synthesizer's structural
+//      stage-exit checks always run; the oracle re-runs those analyzers
+//      only on a design that an injection or hook changed afterwards. The
+//      synthesizer's timing check is off while this oracle runs (its STA
+//      checks the finished design instead) and on under --no-check;
 //   3. only the encoding tail runs per point: encodeController,
 //      estimateArea and the encoding oracle (validateEncoding: distinct
 //      codes, minimized logic equal to the raw cover, next-state bits equal
@@ -137,7 +138,9 @@ struct ProgramVerdict {
 struct DiffOptions {
   std::vector<MatrixPoint> points = FuzzMatrix::standard().points();
   int trials = 4;
-  /// Run the full checkDesign/lint gate on every synthesized point.
+  /// Gate every synthesized point on STA and the semantic and netlist
+  /// lints (plus the structural analyzers on a design changed after
+  /// synthesis) before co-simulating it.
   bool check = true;
   /// Stop at the first failing point/trial (used by the reducer, where
   /// only "still fails" matters, not the full failure inventory).

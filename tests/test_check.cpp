@@ -12,7 +12,9 @@
 #include <sstream>
 
 #include "check/check.h"
+#include "core/commands.h"
 #include "core/designs.h"
+#include "core/options.h"
 #include "core/synthesizer.h"
 #include "ir/deps.h"
 #include "rtl/verilog.h"
@@ -68,6 +70,40 @@ TEST(CheckClean, MulticycleDesignsPassStageAnalyzers) {
     CheckReport report = checkDesign(result.design, checkOptionsFor(opts));
     EXPECT_TRUE(report.clean())
         << d.name << ":\n" << report.render();
+  }
+}
+
+// `mphls lint` leaves the structural analyzers to synthesis's stage exits.
+// They report only errors, on which synthesis throws, so on a design fresh
+// from synthesis the lint report must be exactly the full checkDesign
+// report; a warning added to a structural analyzer would break this.
+TEST(CheckClean, LintReportEqualsFullCheckOnFreshDesigns) {
+  std::vector<std::pair<const char*, SynthesisOptions>> configs(4);
+  configs[0].first = "default";
+  configs[1].first = "multicycle";
+  configs[1].second.latencies = OpLatencyModel::multiCycle();
+  configs[2].first = "clique";
+  configs[2].second.fuMethod = FuAllocMethod::Clique;
+  configs[2].second.regMethod = RegAllocMethod::Clique;
+  configs[3].first = "force";
+  configs[3].second.scheduler = SchedulerKind::ForceDirected;
+  for (const auto& [config, opts] : configs) {
+    for (const auto& d : designs::all()) {
+      const cmd::Request req{d.name, d.source, "", opts};
+      const auto lint = cmd::lint(req);
+      const auto synth = cmd::synth(req);
+      ASSERT_TRUE(lint && synth) << d.name << " " << config;
+      CheckOptions full;
+      full.resources = resourceLimited(opts.scheduler)
+                           ? opts.resources
+                           : ResourceLimits::unlimited();
+      full.latencies = opts.latencies;
+      ASSERT_TRUE(full.structure);
+      const CheckReport want = checkDesign(synth->design, full);
+      EXPECT_TRUE(lint->all() == want.all())
+          << d.name << " " << config << ": lint\n"
+          << lint->render() << "full check\n" << want.render();
+    }
   }
 }
 

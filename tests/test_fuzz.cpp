@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "fuzz/reduce.h"
 #include "lang/frontend.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "opt/pass.h"
 #include "sched/freedom.h"
 #include "sched/sched_util.h"
@@ -258,6 +260,49 @@ TEST(FuzzDiff, StandardSeedSynthesizesAndChecksEachDesignOnce) {
   EXPECT_EQ(after[2] - before[2], 12u * (std::uint64_t)d.trials);
   EXPECT_EQ(v.pointsRun, 24);
   EXPECT_EQ(v.simulations, 24L * d.trials);
+}
+
+TEST(FuzzDiff, StructuralAnalyzersRerunOnlyOnChangedDesigns) {
+  // The stage exits check each design synthesis returns, so the oracle
+  // re-runs the schedule, binding and controller analyzers only on a
+  // design changed after synthesis: once per group under a post-synthesis
+  // injection or hook, never otherwise. The netlist lint runs once per
+  // group either way.
+  auto spans = [](const fuzz::DiffOptions& d) {
+    obs::Tracer& tr = obs::Tracer::global();
+    tr.clear();
+    tr.enable();
+    (void)fuzz::runSource(fuzz::generateProgram(1).render(), 1, d);
+    tr.disable();
+    std::map<std::string, std::size_t> n;
+    for (const auto& track : tr.snapshot())
+      for (const auto& e : track.events)
+        if (e.phase == 'B' && e.name.rfind("check.", 0) == 0) ++n[e.name];
+    tr.clear();
+    return n;
+  };
+  auto expect = [&](const fuzz::DiffOptions& d, std::size_t structural,
+                    const char* what) {
+    const std::size_t groups = fuzz::planGroups(d).groups.size();
+    auto n = spans(d);
+    for (const char* a :
+         {"check.schedule", "check.binding", "check.controller"})
+      EXPECT_EQ(n[a], structural * groups) << what << " " << a;
+    EXPECT_EQ(n["check.netlist"], groups) << what;
+  };
+  fuzz::DiffOptions clean;
+  ASSERT_EQ(fuzz::planGroups(clean).groups.size(), 12u);
+  expect(clean, 0, "clean");
+  for (InjectedBug bug :
+       {InjectedBug::ScheduleShift, InjectedBug::SwappedBinding}) {
+    fuzz::DiffOptions injected;
+    injected.inject = bug;
+    expect(injected, 1, bug == InjectedBug::ScheduleShift ? "shift" : "swap");
+  }
+  fuzz::DiffOptions hooked;
+  hooked.postSynthesis = [](SynthesisResult&, const fuzz::MatrixPoint&) {};
+  ASSERT_EQ(fuzz::planGroups(hooked).groups.size(), 24u);
+  expect(hooked, 1, "post-synthesis hook");
 }
 
 TEST(FuzzDiff, DesignFaultIsAMismatchOnItsTrial) {

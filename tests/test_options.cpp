@@ -7,6 +7,7 @@
 // row.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -208,6 +209,28 @@ TEST(OptionTable, ResourceLimitedSchedulers) {
     EXPECT_TRUE(resourceLimited(k)) << schedulerName(k);
   EXPECT_FALSE(resourceLimited(SchedulerKind::ForceDirected));
   EXPECT_FALSE(resourceLimited(SchedulerKind::Serial));
+}
+
+TEST(OptionTable, U64ValuesParseFullyOrNotAtAll) {
+  // Seeds and --verify values: what strtoull (base 0) consumes whole.
+  const std::pair<const char*, std::uint64_t> good[] = {
+      {"0", 0},
+      {"42", 42},
+      {"0x1F", 31},
+      {"010", 8},
+      {" 7", 7},
+      {"18446744073709551615", UINT64_MAX}};
+  for (const auto& [text, want] : good) {
+    std::uint64_t v = 1;
+    EXPECT_TRUE(parseU64(text, v)) << "'" << text << "'";
+    EXPECT_EQ(v, want) << "'" << text << "'";
+  }
+  for (const char* bad : {"", " ", "abc", "zz", "-1", "+1", "12x", "0x", "1.5",
+                          "18446744073709551616", "99999999999999999999"}) {
+    std::uint64_t v = 5;
+    EXPECT_FALSE(parseU64(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 5u) << "'" << bad << "'";
+  }
 }
 
 }  // namespace
