@@ -74,6 +74,12 @@ void ThreadPool::push(std::function<void()> f) {
     queues_[target]->q.push_back(std::move(f));
   }
   pending_.fetch_add(1, std::memory_order_release);
+  {
+    // Pairs with the predicate re-check under wakeMutex_ in workerLoop: a
+    // worker that found pending_ == 0 is either still before its check or
+    // already waiting, so this notify cannot fall between the two.
+    std::lock_guard<std::mutex> lk(wakeMutex_);
+  }
   wake_.notify_one();
 }
 

@@ -271,12 +271,23 @@ ReplayResult replayCorpus(const std::string& dir, const DiffOptions& diff,
   const std::vector<CorpusEntry> entries = loadCorpus(dir);
   result.entries = (int)entries.size();
   std::vector<ProgramVerdict> verdicts(entries.size());
+  std::vector<std::size_t> runnable;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].corrupt.empty())
+      runnable.push_back(i);
+    else
+      verdicts[i].failures.push_back(
+          {MatrixPoint{}, "corrupt", entries[i].corrupt, -1});
+  }
   sweep(
-      jobs, entries.size(), diff,
-      [&](std::size_t i) {
-        return Program{&entries[i].source, entries[i].seed};
+      jobs, runnable.size(), diff,
+      [&](std::size_t k) {
+        const CorpusEntry& e = entries[runnable[k]];
+        return Program{&e.source, e.seed};
       },
-      [&](std::size_t i, ProgramVerdict v) { verdicts[i] = std::move(v); });
+      [&](std::size_t k, ProgramVerdict v) {
+        verdicts[runnable[k]] = std::move(v);
+      });
 
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (!verdicts[i].ok()) ++result.failed;

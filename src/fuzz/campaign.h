@@ -78,7 +78,8 @@ struct CampaignResult {
 [[nodiscard]] CampaignResult runCampaign(const CampaignOptions& options);
 
 /// Replay every corpus entry under `dir` through the matrix. Entry order
-/// (and hence output order) is the sorted filename order.
+/// (and hence output order) is the sorted filename order. A corrupt entry
+/// (CorpusEntry::corrupt) is not run; it fails with one "corrupt" failure.
 struct ReplayOutcome {
   std::string name;
   ProgramVerdict verdict;

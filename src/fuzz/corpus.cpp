@@ -1,10 +1,11 @@
 #include "fuzz/corpus.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "core/options.h"
 
 namespace mphls::fuzz {
 
@@ -48,10 +49,16 @@ CorpusEntry parseEntry(const std::string& text, const std::string& name) {
     std::string key = rest.substr(0, colon);
     std::string val = rest.substr(colon + 1);
     if (!val.empty() && val[0] == ' ') val.erase(0, 1);
-    if (key == "seed") e.seed = std::strtoull(val.c_str(), nullptr, 0);
-    else if (key == "kind") e.kind = val;
-    else if (key == "point") e.point = val;
-    else if (key == "note") e.note = val;
+    if (key == "seed") {
+      if (!parseU64(val, e.seed))
+        e.corrupt = "seed tag '" + val + "' is not a 64-bit number";
+    } else if (key == "kind") {
+      e.kind = val;
+    } else if (key == "point") {
+      e.point = val;
+    } else if (key == "note") {
+      e.note = val;
+    }
   }
   return e;
 }

@@ -27,6 +27,10 @@ struct CorpusEntry {
   std::string point;       ///< matrix-point label of the first failure
   std::string note;        ///< one-line failure description
   std::string source;      ///< the full file text (metadata comments + BDL)
+  /// Why the metadata header is unreadable (a seed tag that is not a
+  /// number), or "" when it is well-formed. Replay reports a corrupt entry
+  /// as failing instead of running it under a made-up seed.
+  std::string corrupt;
 };
 
 /// Serialize an entry (metadata header + program text). Newlines inside
@@ -34,8 +38,9 @@ struct CorpusEntry {
 [[nodiscard]] std::string renderEntry(const CorpusEntry& entry,
                                       const std::string& program);
 
-/// Parse an entry from file text. Unknown header keys are ignored;
-/// `source` keeps the complete text (the header lines are BDL comments).
+/// Parse an entry from file text. Unknown header keys are ignored; a seed
+/// tag that parseU64 rejects marks the entry `corrupt`. `source` keeps the
+/// complete text (the header lines are BDL comments).
 [[nodiscard]] CorpusEntry parseEntry(const std::string& text,
                                      const std::string& name);
 

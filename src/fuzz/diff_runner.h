@@ -105,14 +105,16 @@ struct PointFailure {
   std::string kind;    ///< "compile" | "nonterminating" | "check" |
                        ///< "mismatch" | "rtl-timeout" | "error" |
                        ///< "sta-crash" | "sta-negative-slack" |
-                       ///< "sta-divergence" | "encoding"
+                       ///< "sta-divergence" | "encoding" | "corrupt"
+                       ///< (an unreadable corpus entry, not run)
   std::string detail;
   int trial = -1;      ///< input-pattern index for co-simulation failures
 
   /// The point's label, or "" for the program-level kinds ("compile",
-  /// "nonterminating") where `point` is a meaningless default.
+  /// "nonterminating", "corrupt") where `point` is a meaningless default.
   [[nodiscard]] std::string pointLabel() const {
-    if (kind == "compile" || kind == "nonterminating") return "";
+    if (kind == "compile" || kind == "nonterminating" || kind == "corrupt")
+      return "";
     return point.label();
   }
 };

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -8,22 +9,41 @@
 
 namespace mphls::obs {
 
-namespace {
-
-// Per-thread track cache. Keyed by owner so a thread touching a second
-// Tracer instance re-registers there; the registry keeps every track alive
-// (shared_ptr), so the raw cached pointer never dangles.
-thread_local const Tracer* tlsOwner = nullptr;
-thread_local Tracer::ThreadBuf* tlsBuf = nullptr;
-
-}  // namespace
-
 struct Tracer::ThreadBuf {
   int tid = 0;
-  std::mutex m;  ///< guards name + events (owner appends, exporter reads)
+  std::mutex m;  ///< guards name, events, live (owner writes, exporter reads)
   std::string name;
   std::vector<TraceEvent> events;
+  bool live = true;  ///< its thread has not exited
 };
+
+// The calling thread's track. Keyed by owner so a thread touching a second
+// Tracer instance re-registers there. When the thread exits (or moves to
+// another tracer) the track is handed back: a track that holds no events
+// leaves the registry, so short-lived threads that never recorded (every
+// pool worker while tracing is off) do not pile up. The owner must outlive
+// the thread; Tracer::global() does.
+struct Tracer::TrackLease {
+  Tracer* owner = nullptr;
+  std::shared_ptr<ThreadBuf> buf;
+
+  TrackLease() = default;
+  TrackLease(const TrackLease&) = delete;
+  TrackLease& operator=(const TrackLease&) = delete;
+  ~TrackLease() { release(); }
+
+  void release() {
+    if (owner != nullptr) owner->releaseTrack(buf);
+    owner = nullptr;
+    buf.reset();
+  }
+};
+
+namespace {
+
+thread_local Tracer::TrackLease tlsTrack;
+
+}  // namespace
 
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 Tracer::~Tracer() = default;
@@ -34,15 +54,28 @@ Tracer& Tracer::global() {
 }
 
 Tracer::ThreadBuf& Tracer::localBuf() {
-  if (tlsOwner == this && tlsBuf != nullptr) return *tlsBuf;
-  std::lock_guard<std::mutex> lk(m_);
+  TrackLease& lease = tlsTrack;
+  if (lease.owner == this) return *lease.buf;
+  lease.release();
   auto buf = std::make_shared<ThreadBuf>();
-  buf->tid = static_cast<int>(threads_.size());
-  buf->name = "thread-" + std::to_string(buf->tid);
-  threads_.push_back(buf);
-  tlsOwner = this;
-  tlsBuf = buf.get();
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    buf->tid = nextTid_++;
+    buf->name = "thread-" + std::to_string(buf->tid);
+    threads_.push_back(buf);
+  }
+  lease.owner = this;
+  lease.buf = buf;
   return *buf;
+}
+
+void Tracer::releaseTrack(const std::shared_ptr<ThreadBuf>& buf) {
+  std::lock_guard<std::mutex> lk(m_);
+  std::lock_guard<std::mutex> bl(buf->m);
+  if (buf->events.empty())
+    threads_.erase(std::find(threads_.begin(), threads_.end(), buf));
+  else
+    buf->live = false;
 }
 
 int Tracer::currentTid() { return localBuf().tid; }
@@ -109,15 +142,14 @@ std::size_t Tracer::eventCount() const {
 }
 
 void Tracer::clear() {
-  std::vector<std::shared_ptr<ThreadBuf>> bufs;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    bufs = threads_;
-  }
-  for (const auto& b : bufs) {
-    std::lock_guard<std::mutex> lk(b->m);
-    b->events.clear();
-  }
+  std::lock_guard<std::mutex> lk(m_);
+  threads_.erase(std::remove_if(threads_.begin(), threads_.end(),
+                                [](const std::shared_ptr<ThreadBuf>& b) {
+                                  std::lock_guard<std::mutex> bl(b->m);
+                                  b->events.clear();
+                                  return !b->live;
+                                }),
+                 threads_.end());
 }
 
 namespace {

@@ -40,11 +40,14 @@ struct TraceEvent {
 };
 
 /// Thread-safe process-wide span collector. Threads register lazily on
-/// first use and keep a stable integer track id (`tid`) for life; event
-/// appends touch only the calling thread's buffer (one uncontended mutex).
+/// first use and keep a stable integer track id (`tid`) for life; tids
+/// come from a counter and are never reused. A track that holds no events
+/// when its thread exits leaves the registry. Event appends touch only the
+/// calling thread's buffer (one uncontended mutex).
 class Tracer {
  public:
-  struct ThreadBuf;  // one event track; defined in trace.cpp
+  struct ThreadBuf;   // one event track; defined in trace.cpp
+  struct TrackLease;  // a thread's hold on its track; defined in trace.cpp
 
   /// The process-wide tracer used by all instrumentation sites. Tests
   /// should use this instance (clear() between cases) — per-thread track
@@ -93,8 +96,8 @@ class Tracer {
   [[nodiscard]] std::string chromeTraceJson() const;
   bool writeChromeTrace(const std::string& path) const;
 
-  /// Drop all recorded events. Registered tracks (tids, names) persist so
-  /// cached thread-local track pointers stay valid.
+  /// Drop all recorded events, and the tracks of threads that have
+  /// exited. Tracks of live threads (tids, names) persist.
   void clear();
 
   Tracer();
@@ -104,9 +107,12 @@ class Tracer {
 
  private:
   ThreadBuf& localBuf();
+  /// Unregister a departing thread's track if it holds no events.
+  void releaseTrack(const std::shared_ptr<ThreadBuf>& buf);
 
-  mutable std::mutex m_;  ///< guards threads_ (track registry)
+  mutable std::mutex m_;  ///< guards threads_ and nextTid_ (track registry)
   std::vector<std::shared_ptr<ThreadBuf>> threads_;
+  int nextTid_ = 0;
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
 };

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 
+#include "common/diag.h"
 #include "ir/analysis.h"
 #include "sched/sched_util.h"
 
@@ -47,23 +48,28 @@ Frames computeFrames(const BlockDeps& deps, int horizon,
   return fr;
 }
 
-/// Frame change produced by a (trial or committed) fix.
-struct FrameDiff {
+/// One op of a fixed op's dependence cone: a descendant whose ASAP bound
+/// or an ancestor whose ALAP bound the fix moves, with the longest-path
+/// latency between the two.
+struct ConeEntry {
   std::size_t op = 0;
-  int lo = 0, hi = 0;  ///< the op's new frame
+  int dist = 0;       ///< L(i, op) for a descendant, L(op, i) for an ancestor
+  bool down = false;  ///< descendant (lo moves) rather than ancestor (hi)
 };
 
 /// Cached frames + distribution graphs for one force-directed run.
 ///
-/// trial(i, s) answers "which frames change if op i is fixed at step s?"
-/// by propagating only along affected dependence chains: the ASAP pass
-/// walks forward from i in topological order, the ALAP pass walks backward
-/// from i and from every op whose ASAP bound moved (the non-empty-frame
-/// clamp couples hi to lo). Both passes recompute a node exactly the way
-/// computeFrames does, so the reachable fixpoint — and therefore the
-/// schedule — is identical to the from-scratch computation. The worklists
-/// are binary heaps over topological positions; a generation-stamped mark
-/// keeps an op from being queued twice in one pass.
+/// The cached frames are the ASAP/ALAP fixpoint of computeFrames, and
+/// every fix lands inside its op's frame. Under that invariant fixing op i
+/// at step s moves exactly two sets of frames: each descendant j gets
+/// lo = max(lo_j, s + L(i,j)) and each ancestor j gets
+/// hi = min(hi_j, s - L(j,i)), where L is the longest-path latency. No
+/// other frame moves: a descendant's new lo never passes its hi, so the
+/// non-empty clamp (which holds the trailing non-occupying ops past the
+/// horizon) keeps every clamped frame where it is. propagate() walks one
+/// cone from i with a binary heap over topological positions, following
+/// only the ops whose bound moved, and checks that no derived frame comes
+/// out empty.
 class FrameCache {
  public:
   FrameCache(const BlockDeps& deps, int horizon)
@@ -80,12 +86,8 @@ class FrameCache {
     for (std::size_t k = 0; k < n_; ++k) pos_[topo_[k]] = k;
     fixed_.assign(n_, -1);
     fr_ = computeFrames(deps, horizon, fixed_);
-    loStamp_.assign(n_, 0);
-    hiStamp_.assign(n_, 0);
-    fwdQueued_.assign(n_, 0);
-    revQueued_.assign(n_, 0);
-    loVal_.assign(n_, 0);
-    hiVal_.assign(n_, 0);
+    stamp_.assign(n_, 0);
+    val_.assign(n_, 0);
 
     // One distribution graph per FU class present; each op keeps a
     // pointer to its own (map nodes do not move).
@@ -110,77 +112,37 @@ class FrameCache {
     return dgOf_[i];
   }
 
-  /// Ops whose frames change when `i` is fixed at `s`, sorted by op index
-  /// (so force terms accumulate in the reference order), each with its
-  /// new frame. Ops whose recomputed frame is unchanged are absent. Valid
-  /// until the next trial() or fix() call.
-  const std::vector<FrameDiff>& trial(std::size_t i, int s) {
-    ++gen_;
-    diff_.clear();
-    changedLo_.clear();
-    changedHi_.clear();
-    trialOp_ = i;
-    trialStep_ = s;
-
-    // ASAP pass: forward from i in topological order (min-heap).
-    heap_.clear();
-    queueFwd(i);
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<std::size_t>());
-      const std::size_t j = topo_[heap_.back()];
-      heap_.pop_back();
-      const int f = fixedAt(j);
-      int v = f >= 0 ? f : 0;
-      for (const auto& [from, lat] : in_[j])
-        v = std::max(v, loOf(from) + lat);
-      if (v == fr_.lo[j]) continue;
-      loVal_[j] = v;
-      loStamp_[j] = gen_;
-      changedLo_.push_back(j);
-      for (const auto& [to, lat] : out_[j]) queueFwd(to);
-    }
-
-    // ALAP pass: backward from i and from every op whose lo moved (the
-    // non-empty-frame clamp couples hi to lo), in reverse topological
-    // order (max-heap).
-    heap_.clear();
-    queueRev(i);
-    for (std::size_t j : changedLo_) queueRev(j);
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end());
-      const std::size_t j = topo_[heap_.back()];
-      heap_.pop_back();
-      const int f = fixedAt(j);
-      int v = f >= 0 ? f : horizon_ - 1;
-      for (const auto& [to, lat] : out_[j]) v = std::min(v, hiOf(to) - lat);
-      v = std::max(v, loOf(j));  // keep frames non-empty
-      if (v == fr_.hi[j]) continue;
-      hiVal_[j] = v;
-      hiStamp_[j] = gen_;
-      changedHi_.push_back(j);
-      for (const auto& [from, lat] : in_[j]) queueRev(from);
-    }
-
-    for (std::size_t j : changedLo_) diff_.push_back({j, loOf(j), hiOf(j)});
-    for (std::size_t j : changedHi_)
-      if (loStamp_[j] != gen_) diff_.push_back({j, loOf(j), hiOf(j)});
-    std::sort(diff_.begin(), diff_.end(),
-              [](const FrameDiff& a, const FrameDiff& b) {
+  /// The two cones of op `i`, sorted by op index (so force terms
+  /// accumulate in the reference order): the descendants whose lo moves
+  /// when i is fixed at hi_i and the ancestors whose hi moves when it is
+  /// fixed at lo_i. Fixing i at any s in its frame moves a descendant j to
+  /// lo = s + dist where that exceeds lo_j, and an ancestor j to
+  /// hi = s - dist where that is below hi_j. Valid until the next cones()
+  /// or fix() call.
+  const std::vector<ConeEntry>& cones(std::size_t i) {
+    cone_.clear();
+    propagate(i, fr_.hi[i], true);
+    propagate(i, fr_.lo[i], false);
+    std::sort(cone_.begin(), cone_.end(),
+              [](const ConeEntry& a, const ConeEntry& b) {
                 return a.op < b.op;
               });
-    return diff_;
+    return cone_;
   }
 
-  /// Fix op `i` at step `s`: apply the trial deltas to the cached frames
-  /// and refresh the distribution graphs.
+  /// Fix op `i` at step `s`: move the frames of its cones at s and
+  /// refresh the distribution graphs.
   void fix(std::size_t i, int s) {
-    const auto& d = trial(i, s);
-    fixed_[i] = s;
-    for (const FrameDiff& df : d) {
-      fr_.lo[df.op] = df.lo;
-      fr_.hi[df.op] = df.hi;
+    cone_.clear();
+    propagate(i, s, true);
+    propagate(i, s, false);
+    for (const ConeEntry& e : cone_) {
+      if (e.down)
+        fr_.lo[e.op] = s + e.dist;
+      else
+        fr_.hi[e.op] = s - e.dist;
     }
-    trialOp_ = kNoTrial;
+    fixed_[i] = fr_.lo[i] = fr_.hi[i] = s;
     rebuildDgs();
   }
 
@@ -191,29 +153,42 @@ class FrameCache {
   void fixTight(std::size_t i) { fixed_[i] = fr_.lo[i]; }
 
  private:
-  static constexpr std::size_t kNoTrial =
-      std::numeric_limits<std::size_t>::max();
-
-  [[nodiscard]] int fixedAt(std::size_t j) const {
-    return j == trialOp_ ? trialStep_ : fixed_[j];
-  }
-  [[nodiscard]] int loOf(std::size_t j) const {
-    return loStamp_[j] == gen_ ? loVal_[j] : fr_.lo[j];
-  }
-  [[nodiscard]] int hiOf(std::size_t j) const {
-    return hiStamp_[j] == gen_ ? hiVal_[j] : fr_.hi[j];
-  }
-  void queueFwd(std::size_t j) {
-    if (fwdQueued_[j] == gen_) return;
-    fwdQueued_[j] = gen_;
-    heap_.push_back(pos_[j]);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<std::size_t>());
-  }
-  void queueRev(std::size_t j) {
-    if (revQueued_[j] == gen_) return;
-    revQueued_[j] = gen_;
-    heap_.push_back(pos_[j]);
-    std::push_heap(heap_.begin(), heap_.end());
+  /// Append to cone_ every op whose bound moves when op `i` takes `s` as
+  /// its lo (`down`, walking descendants in topological order) or as its
+  /// hi (walking ancestors in reverse topological order).
+  void propagate(std::size_t i, int s, bool down) {
+    ++gen_;
+    heap_.clear();
+    const auto key = [&](std::size_t j) {
+      return down ? pos_[j] : n_ - 1 - pos_[j];
+    };
+    const auto push = [&](std::size_t j) {
+      stamp_[j] = gen_;
+      heap_.push_back(key(j));
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<std::size_t>());
+    };
+    val_[i] = s;
+    push(i);
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<std::size_t>());
+      const std::size_t k = heap_.back();
+      heap_.pop_back();
+      const std::size_t j = topo_[down ? k : n_ - 1 - k];
+      const int v = val_[j];
+      if (j != i) cone_.push_back({j, down ? v - s : s - v, down});
+      for (const auto& [next, lat] : down ? out_[j] : in_[j]) {
+        const int w = down ? v + lat : v - lat;
+        const bool queued = stamp_[next] == gen_;
+        const int cur = queued ? val_[next]
+                        : down ? fr_.lo[next]
+                               : fr_.hi[next];
+        if (down ? w <= cur : w >= cur) continue;
+        MPHLS_CHECK(down ? w <= fr_.hi[next] : w >= fr_.lo[next],
+                    "force-directed fix empties the frame of op " << next);
+        val_[next] = w;
+        if (!queued) push(next);
+      }
+    }
   }
 
   // Same per-op contribution loop as distributionGraphs(), run over the
@@ -240,17 +215,14 @@ class FrameCache {
   std::map<FuClass, DistributionGraph> dgs_;
   std::vector<DistributionGraph*> dgOf_;
 
-  // Trial scratch: generation-stamped overlays over fr_ and queue marks,
-  // so a trial costs only its affected ops — nothing is cleared between
-  // candidates.
+  // Propagation scratch: a generation stamp marks the ops queued in the
+  // current pass and val_ holds their moved bound, so nothing is cleared
+  // between passes.
   unsigned gen_ = 0;
-  std::size_t trialOp_ = kNoTrial;
-  int trialStep_ = -1;
-  std::vector<unsigned> loStamp_, hiStamp_, fwdQueued_, revQueued_;
-  std::vector<int> loVal_, hiVal_;
-  std::vector<std::size_t> changedLo_, changedHi_;
-  std::vector<std::size_t> heap_;  ///< topological positions
-  std::vector<FrameDiff> diff_;
+  std::vector<unsigned> stamp_;
+  std::vector<int> val_;
+  std::vector<std::size_t> heap_;  ///< keyed topological positions
+  std::vector<ConeEntry> cone_;
 };
 
 }  // namespace
@@ -306,6 +278,7 @@ BlockSchedule forceDirectedSchedule(const BlockDeps& deps, int horizon) {
       any = true;
       const int k = fr.hi[i] - fr.lo[i] + 1;
       const double avg = 1.0 / k;
+      const std::vector<ConeEntry>& cone = cache.cones(i);
       for (int s = fr.lo[i]; s <= fr.hi[i]; ++s) {
         // Self force: DG(s)*(x(s) - avg) summed over the frame, where x is
         // the candidate assignment (1 at s, 0 elsewhere).
@@ -316,15 +289,24 @@ BlockSchedule forceDirectedSchedule(const BlockDeps& deps, int horizon) {
         }
         // Successor/predecessor forces: fixing i at s narrows neighbors'
         // frames; approximate with the DG load change of direct neighbors.
-        // The cache hands back exactly the ops whose frames the trial
-        // placement moved, in ascending op order.
-        for (const FrameDiff& df : cache.trial(i, s)) {
-          const std::size_t j = df.op;
+        // The cones, shifted to s, give exactly the ops whose frames the
+        // placement moves, in ascending op order. Fixed ops never enter a
+        // cone: their one-step frame cannot move.
+        for (const ConeEntry& e : cone) {
+          const std::size_t j = e.op;
           const DistributionGraph* dgj = cache.dgOf(j);
-          if (j == i || dgj == nullptr || fixed[j] >= 0) continue;
+          if (dgj == nullptr) continue;
+          int lo = fr.lo[j], hi = fr.hi[j];
+          if (e.down) {
+            if (s + e.dist <= lo) continue;
+            lo = s + e.dist;
+          } else {
+            if (s - e.dist >= hi) continue;
+            hi = s - e.dist;
+          }
           int kOld = fr.hi[j] - fr.lo[j] + 1;
-          int kNew = df.hi - df.lo + 1;
-          for (int t = df.lo; t <= df.hi; ++t)
+          int kNew = hi - lo + 1;
+          for (int t = lo; t <= hi; ++t)
             force += dgj->at(t) * (1.0 / kNew);
           for (int t = fr.lo[j]; t <= fr.hi[j]; ++t)
             force -= dgj->at(t) * (1.0 / kOld);

@@ -45,16 +45,18 @@ struct DistributionGraph {
 /// maximum number required in any control step".
 ///
 /// Incremental implementation: the ASAP/ALAP time frames and the
-/// distribution graphs are cached across the fix iterations and updated by
-/// delta propagation when an operation is fixed — candidate evaluation
-/// re-derives only the frames a trial placement actually narrows, instead
-/// of rebuilding every frame per candidate. Ops whose frame is already one
-/// step wide are fixed in one batch before any force is evaluated, where
-/// the reference fixes one per scan and discards that scan's forces. The
-/// result is identical to the from-scratch HAL formulation
-/// (tests/fd_reference.h) on every input: the propagation computes the
-/// same integer fixpoint and force terms accumulate in the same order;
-/// only the wall time differs.
+/// distribution graphs are cached across the fix iterations. Fixing an op
+/// moves only its descendants' ASAP and its ancestors' ALAP bounds, so
+/// each iteration walks one pair of dependence cones per op (descendants
+/// from the last step of its frame, ancestors from the first) and derives
+/// every candidate step's frame changes by shifting them, instead of
+/// rebuilding or re-propagating frames per candidate. Ops whose frame is
+/// already one step wide are fixed in one batch before any force is
+/// evaluated, where the reference fixes one per scan and discards that
+/// scan's forces. The result is identical to the from-scratch HAL
+/// formulation (tests/fd_reference.h) on every input: the shifted cones
+/// give the same integer fixpoint and force terms accumulate in the same
+/// order; only the wall time differs.
 [[nodiscard]] BlockSchedule forceDirectedSchedule(const BlockDeps& deps,
                                                   int horizon);
 

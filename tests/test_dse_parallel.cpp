@@ -20,6 +20,7 @@
 #include "ir/analysis.h"
 #include "ir/verify.h"
 #include "sched/force_directed.h"
+#include "sched/sched_util.h"
 #include "sched/schedule.h"
 
 using namespace mphls;
@@ -374,17 +375,25 @@ TEST(DseParallelPareto, DominationMatchesDefinition) {
 namespace {
 
 /// Every non-empty block of `fn` scheduled by forceDirectedSchedule and by
-/// the reference must agree at critical + each of `slacks` and at twice
-/// the critical length.
+/// the reference must agree at critical + each of `slacks`, at twice the
+/// critical length, and at the time sweep's horizons: exploreTimeSweep
+/// gives every block the longest block's unconstrained ASAP length + 0..4,
+/// so a short block runs with a frame far wider than its own.
 void expectBlocksMatchReference(const Function& fn, const std::string& what,
                                 std::initializer_list<int> slacks) {
+  int maxBlockSteps = 0;
+  for (const auto& blk : fn.blocks())
+    maxBlockSteps = std::max(maxBlockSteps,
+                             asapUnconstrained(BlockDeps(fn, blk)).numSteps);
   for (const auto& blk : fn.blocks()) {
     if (blk.ops.empty()) continue;
     BlockDeps deps(fn, blk);
     const int critical = computeLevels(deps).criticalLength;
-    std::vector<int> horizons;
-    for (int slack : slacks) horizons.push_back(critical + slack);
-    horizons.push_back(2 * critical);
+    std::set<int> horizons;
+    for (int slack : slacks) horizons.insert(critical + slack);
+    horizons.insert(2 * critical);
+    for (int extra = 0; extra <= 4; ++extra)
+      horizons.insert(maxBlockSteps + extra);
     for (int horizon : horizons) {
       BlockSchedule inc = forceDirectedSchedule(deps, horizon);
       BlockSchedule ref = forceDirectedScheduleReference(deps, horizon);

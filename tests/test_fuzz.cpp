@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -458,6 +459,46 @@ TEST(FuzzCorpus, SaveLoadReplayRoundTrip) {
   fuzz::ReplayResult r = fuzz::replayCorpus(tmp.path.string(), quickDiff());
   EXPECT_EQ(r.entries, 2);
   EXPECT_TRUE(r.clean());
+}
+
+// A seed tag that is not a number marks the entry corrupt, and replay
+// reports it as failing instead of running it as seed 0.
+TEST(FuzzCorpus, MalformedSeedTagFailsReplay) {
+  const std::string program = fuzz::generateProgram(3).render();
+  const fuzz::CorpusEntry hex =
+      fuzz::parseEntry("# mphls-fuzz seed: 0x2a\n" + program, "hex");
+  EXPECT_EQ(hex.seed, 42u);
+  EXPECT_EQ(hex.corrupt, "");
+  for (const char* tag : {"abc", "12abc", "-1", "", "99999999999999999999"})
+    EXPECT_NE(fuzz::parseEntry(std::string("# mphls-fuzz seed: ") + tag +
+                                   "\n" + program,
+                               "bad")
+                  .corrupt,
+              "")
+        << "seed tag '" << tag << "'";
+
+  TempDir tmp("corrupt");
+  fuzz::CorpusEntry good;
+  good.name = "good";
+  good.seed = 3;
+  good.kind = "fixture";
+  ASSERT_TRUE(fuzz::saveEntry(tmp.path.string(), good, program));
+  {
+    std::ofstream out(tmp.path / "bad.bdl");
+    out << "# mphls-fuzz seed: abc\n# mphls-fuzz kind: fixture\n" << program;
+  }
+  const fuzz::ReplayResult r =
+      fuzz::replayCorpus(tmp.path.string(), quickDiff());
+  EXPECT_EQ(r.entries, 2);
+  EXPECT_EQ(r.failed, 1);
+  EXPECT_FALSE(r.clean());
+  ASSERT_EQ(r.outcomes.size(), 2u);
+  EXPECT_EQ(r.outcomes[0].name, "bad");
+  ASSERT_EQ(r.outcomes[0].verdict.failures.size(), 1u);
+  EXPECT_EQ(r.outcomes[0].verdict.failures[0].kind, "corrupt");
+  EXPECT_EQ(r.outcomes[0].verdict.failures[0].pointLabel(), "");
+  EXPECT_EQ(r.outcomes[0].verdict.pointsRun, 0);
+  EXPECT_TRUE(r.outcomes[1].verdict.ok());
 }
 
 // ---------------------------------------------------------------- campaign

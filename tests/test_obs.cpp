@@ -609,5 +609,44 @@ TEST(ThreadPoolObs, WorkersRegisterStableNamedTracks) {
   for (const auto& name : seen) EXPECT_EQ(name.rfind("dse-", 0), 0u);
 }
 
+// A worker that records nothing leaves no track behind when it exits, so
+// making pools over and over (one per DSE sweep or fuzz campaign) does
+// not grow the registry; tids come from a counter and are never reused;
+// and a worker that recorded while tracing was on keeps its named lane.
+TEST(ThreadPoolObs, IdleWorkerTracksLeaveTheRegistry) {
+  TracerReset guard;
+  auto& tr = obs::Tracer::global();
+  const std::size_t before = tr.snapshot().size();
+  int lastTid = -1;
+  for (int k = 0; k < 5000; ++k) {
+    ThreadPool pool(1, "idle");
+    const int tid =
+        pool.submit([] { return obs::Tracer::global().currentTid(); }).get();
+    EXPECT_GT(tid, lastTid);
+    lastTid = tid;
+  }
+  EXPECT_EQ(tr.snapshot().size(), before);
+
+  tr.enable();
+  int kept = -1;
+  {
+    ThreadPool pool(1, "kept");
+    kept = pool.submit([] {
+                 obs::TraceSpan span("work");
+                 return obs::Tracer::global().currentTid();
+               }).get();
+  }
+  tr.disable();
+  bool found = false;
+  for (const auto& track : tr.snapshot())
+    if (track.tid == kept) {
+      found = true;
+      EXPECT_EQ(track.name, "kept-0");
+      EXPECT_EQ(track.events.size(), 2u);
+    }
+  EXPECT_TRUE(found);
+  EXPECT_NE(tr.chromeTraceJson().find("\"kept-0\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace mphls
