@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <exception>
 
 #include "obs/trace.h"
@@ -16,10 +17,9 @@ thread_local int tlsWorker = -1;
 }  // namespace
 
 ThreadPool::ThreadPool(int numThreads, std::string namePrefix)
-    : namePrefix_(std::move(namePrefix)),
-      traceTids_(static_cast<std::size_t>(numThreads < 1 ? 1 : numThreads)) {
+    : namePrefix_(std::move(namePrefix)) {
   if (numThreads < 1) numThreads = 1;
-  for (auto& t : traceTids_) t.store(-1, std::memory_order_relaxed);
+  traceTids_.assign(static_cast<std::size_t>(numThreads), -1);
   queues_.reserve(static_cast<std::size_t>(numThreads));
   for (int i = 0; i < numThreads; ++i)
     queues_.push_back(std::make_unique<WorkerQueue>());
@@ -27,6 +27,8 @@ ThreadPool::ThreadPool(int numThreads, std::string namePrefix)
   for (int i = 0; i < numThreads; ++i)
     threads_.emplace_back(
         [this, i] { workerLoop(static_cast<std::size_t>(i)); });
+  std::unique_lock<std::mutex> lk(wakeMutex_);
+  allStarted_.wait(lk, [this] { return started_ == threads_.size(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -50,8 +52,7 @@ std::string ThreadPool::workerName(int i) const {
 
 int ThreadPool::workerTraceTid(int i) const {
   if (i < 0 || i >= size()) return -1;
-  return traceTids_[static_cast<std::size_t>(i)].load(
-      std::memory_order_acquire);
+  return traceTids_[static_cast<std::size_t>(i)];
 }
 
 int ThreadPool::hardwareConcurrency() {
@@ -111,9 +112,14 @@ bool ThreadPool::popOrSteal(std::size_t self, std::function<void()>& out) {
 void ThreadPool::workerLoop(std::size_t idx) {
   tlsPool = this;
   tlsWorker = static_cast<int>(idx);
-  traceTids_[idx].store(
-      obs::Tracer::global().setThreadName(workerName(static_cast<int>(idx))),
-      std::memory_order_release);
+  const int tid =
+      obs::Tracer::global().setThreadName(workerName(static_cast<int>(idx)));
+  {
+    std::lock_guard<std::mutex> lk(wakeMutex_);
+    traceTids_[idx] = tid;
+    ++started_;
+  }
+  allStarted_.notify_one();
   for (;;) {
     std::function<void()> task;
     if (popOrSteal(idx, task)) {
@@ -136,41 +142,79 @@ int resolveJobs(int jobs) {
   return jobs <= 0 ? ThreadPool::hardwareConcurrency() : jobs;
 }
 
+namespace {
+
+/// One parallelFor call, shared by its caller and its pool helpers. The
+/// helpers hold it by shared_ptr, so one that starts after the call
+/// returned still finds `closed` set; `fn` is read only while the call is
+/// open.
+struct ForLoop {
+  std::size_t n = 0;
+  const std::function<void(std::size_t)>* fn = nullptr;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed index
+
+  std::mutex m;  ///< guards the fields below
+  std::condition_variable idle;
+  int active = 0;       ///< helpers inside run()
+  bool closed = false;  ///< the caller ran out of indices; late helpers leave
+  std::size_t failedAt = 0;
+  std::exception_ptr error;  ///< of the lowest index that threw
+
+  /// Claim and run indices until none are left.
+  void run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        (*fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(m);
+        if (!error || i < failedAt) {
+          failedAt = i;
+          error = std::current_exception();
+        }
+      }
+    }
+  }
+
+  void help() {
+    {
+      std::lock_guard<std::mutex> lk(m);
+      if (closed) return;
+      ++active;
+    }
+    run();
+    std::lock_guard<std::mutex> lk(m);
+    if (--active == 0) idle.notify_all();
+  }
+};
+
+}  // namespace
+
 void parallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t, int)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+                 const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
   // Dynamic self-scheduling: each runner pulls the next unclaimed index, so
   // uneven per-index cost balances automatically. Output determinism comes
   // from fn writing only to slot `i`.
-  auto counter = std::make_shared<std::atomic<std::size_t>>(0);
-  const std::size_t runners =
-      std::min(n, static_cast<std::size_t>(pool->size()));
-  std::vector<std::future<void>> done;
-  done.reserve(runners);
-  for (std::size_t r = 0; r < runners; ++r) {
-    done.push_back(pool->submit([counter, n, pool, &fn] {
-      const int worker = pool->currentWorker();
-      for (;;) {
-        std::size_t i = counter->fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i, worker < 0 ? 0 : worker);
-      }
-    }));
+  auto loop = std::make_shared<ForLoop>();
+  loop->n = n;
+  loop->fn = &fn;
+  const std::size_t helpers =
+      std::min(n - 1, static_cast<std::size_t>(pool->size()));
+  for (std::size_t h = 0; h < helpers; ++h)
+    pool->push([loop] { loop->help(); });
+  loop->run();
+  {
+    std::unique_lock<std::mutex> lk(loop->m);
+    loop->closed = true;
+    loop->idle.wait(lk, [&] { return loop->active == 0; });
   }
-  std::exception_ptr first;
-  for (auto& f : done) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 }  // namespace mphls

@@ -30,7 +30,8 @@ class ThreadPool {
  public:
   /// Spawns `numThreads` workers (clamped to >= 1). Each worker registers
   /// a stable tracer track named "<namePrefix>-<index>" so spans executed
-  /// on the pool land on named per-worker lanes in the trace viewer.
+  /// on the pool land on named per-worker lanes in the trace viewer; the
+  /// constructor returns once every worker has registered.
   explicit ThreadPool(int numThreads, std::string namePrefix = "pool");
 
   /// Joins all workers after draining the queues.
@@ -59,8 +60,8 @@ class ThreadPool {
   /// Stable tracer track name of worker `i` ("<namePrefix>-<i>").
   [[nodiscard]] std::string workerName(int i) const;
 
-  /// Tracer track id (obs::Tracer tid) of worker `i`, or -1 if the worker
-  /// has not started yet (registration happens on the worker thread).
+  /// Tracer track id (obs::Tracer tid) of worker `i`, or -1 if there is no
+  /// such worker.
   [[nodiscard]] int workerTraceTid(int i) const;
 
   /// std::thread::hardware_concurrency with a >= 1 floor.
@@ -72,17 +73,23 @@ class ThreadPool {
     std::deque<std::function<void()>> q;
   };
 
+  friend void parallelFor(ThreadPool*, std::size_t,
+                          const std::function<void(std::size_t)>&);
+
   void push(std::function<void()> f);
   bool popOrSteal(std::size_t self, std::function<void()>& out);
   void workerLoop(std::size_t idx);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::string namePrefix_;
-  /// Tracer tid per worker; written once by the worker thread on startup.
-  std::vector<std::atomic<int>> traceTids_;
+  /// Tracer tid per worker; written by the worker thread on startup,
+  /// before the constructor returns.
+  std::vector<int> traceTids_;
   std::vector<std::thread> threads_;
-  std::mutex wakeMutex_;
+  std::mutex wakeMutex_;  ///< also guards traceTids_ and started_
   std::condition_variable wake_;
+  std::condition_variable allStarted_;
+  std::size_t started_ = 0;  ///< workers that have registered
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> pending_{0};   ///< queued, not yet popped
   std::atomic<std::size_t> nextQueue_{0}; ///< round-robin submission cursor
@@ -92,13 +99,18 @@ class ThreadPool {
 /// thread", anything else is taken literally.
 [[nodiscard]] int resolveJobs(int jobs);
 
-/// Run `fn(index, worker)` for every index in [0, n), spread across `pool`.
-/// `worker` is the pool worker index that executed the iteration (0 on the
-/// serial path). Blocks until all iterations finish; the first exception
-/// thrown by any iteration is rethrown on the caller after the remaining
-/// iterations complete. Passing a null pool runs every iteration inline on
-/// the caller — the jobs=1 bypass. Not reentrant from inside a pool worker.
+/// Run `fn(index)` for every index in [0, n). The calling thread is one of
+/// the runners: it claims indices off a shared counter alongside up to
+/// min(n - 1, pool->size()) pool workers, so work meant to run N wide
+/// needs a pool of N - 1 workers, and a one-worker pool runs two wide.
+/// Blocks until every iteration has finished, then rethrows the exception
+/// of the lowest index that threw; with a pool, every index runs even when
+/// some throw. A null pool runs the iterations inline in index order and
+/// stops at the first exception (the jobs = 1 path), so the caller sees
+/// the same exception at any width. A worker that has not started its
+/// share by the time the caller runs out of indices is dropped rather than
+/// awaited, so a call from inside a pool task cannot wait on its own queue.
 void parallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t, int)>& fn);
+                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace mphls

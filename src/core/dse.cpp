@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <limits>
-#include <memory>
+#include <map>
+#include <mutex>
 #include <numeric>
-#include <optional>
 
 #include "common/thread_pool.h"
 #include "core/frontend_cache.h"
@@ -20,20 +19,34 @@ namespace mphls {
 
 namespace {
 
-/// Pool for one exploration, or null for the jobs=1 serial bypass. Never
-/// spawns more workers than there are points to synthesize.
-std::unique_ptr<ThreadPool> makePool(int jobs, std::size_t numPoints) {
-  const int n = resolveJobs(jobs);
-  if (n <= 1 || numPoints <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(
-      static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(n), numPoints)),
-      "dse");
+/// How many points of a sweep run at once: `jobs`, but no more than there
+/// are points.
+int sweepWidth(int jobs, std::size_t points) {
+  const auto jobsWide = static_cast<std::size_t>(resolveJobs(jobs));
+  return static_cast<int>(
+      std::min(jobsWide, std::max<std::size_t>(points, 1)));
+}
+
+/// The pool that runs a sweep `width` wide beside its caller: width - 1
+/// workers, or null when `width` is 1. There is one pool per worker count
+/// for the life of the process: a sweep takes a few milliseconds, so
+/// spawning and joining threads for each one cost a visible share of it.
+/// The pools are never destroyed; joining them from a static destructor
+/// could run after obs::Tracer::global(), whose tracks the workers hold,
+/// has gone.
+ThreadPool* dsePool(int width) {
+  if (width <= 1) return nullptr;
+  static std::mutex mutex;
+  static auto* pools = new std::map<int, ThreadPool*>;
+  std::lock_guard<std::mutex> lock(mutex);
+  ThreadPool*& pool = (*pools)[width - 1];
+  if (pool == nullptr) pool = new ThreadPool(width - 1, "dse");
+  return pool;
 }
 
 /// Synthesize one sweep point from the shared optimized IR.
 DsePoint synthesizePoint(const Function& fn, const SynthesisOptions& opts,
-                         std::string label, int limit, int worker) {
+                         std::string label, int limit) {
   DsePoint p;
   {
     // The span both shows the point on the executing thread's trace lane
@@ -49,13 +62,20 @@ DsePoint synthesizePoint(const Function& fn, const SynthesisOptions& opts,
     if (opts.dseCaptureVerilog && opts.latencies.isUnit())
       p.verilog = emitVerilog(r.design);
   }
-  p.threadId = worker < 0 ? 0 : worker;
-  p.traceTid = obs::Tracer::global().currentTid();
-  p.threadName = obs::Tracer::global().currentThreadName();
   auto& mr = obs::MetricsRegistry::global();
   mr.counter("dse.points").add();
   mr.histogram("dse.point_seconds").observe(p.wallSeconds);
   return p;
+}
+
+/// The list-scheduled point with `n` universal units (resource sweep and
+/// Chippe budgets).
+DsePoint budgetPoint(const Function& fn, const SynthesisOptions& base,
+                     int n) {
+  SynthesisOptions opts = base;
+  opts.scheduler = SchedulerKind::List;
+  opts.resources = ResourceLimits::universalSet(n);
+  return synthesizePoint(fn, opts, std::to_string(n) + " FUs", n);
 }
 
 }  // namespace
@@ -119,16 +139,11 @@ std::vector<DsePoint> exploreResourceSweep(const std::string& source,
   auto fn = FrontendCache::global().get(source, "", base.opt);
   const std::size_t count = static_cast<std::size_t>(maxUniversalFus);
   std::vector<DsePoint> points(count);
-  auto pool = makePool(base.jobs, count);
   obs::Logger::global().debug("dse", "resource sweep start",
                               {{"points", count}, {"jobs", base.jobs}});
-  parallelFor(pool.get(), count, [&](std::size_t idx, int worker) {
-    const int n = static_cast<int>(idx) + 1;
-    SynthesisOptions opts = base;
-    opts.scheduler = SchedulerKind::List;
-    opts.resources = ResourceLimits::universalSet(n);
-    points[idx] = synthesizePoint(*fn, opts, std::to_string(n) + " FUs", n,
-                                  worker);
+  parallelFor(dsePool(sweepWidth(base.jobs, count)), count,
+              [&](std::size_t idx) {
+    points[idx] = budgetPoint(*fn, base, static_cast<int>(idx) + 1);
   });
   markPareto(points);
   obs::Logger::global().info("dse", "resource sweep done",
@@ -154,14 +169,14 @@ std::vector<DsePoint> exploreTimeSweep(const std::string& source,
   if (extraSlack < 0) extraSlack = 0;
   const std::size_t count = static_cast<std::size_t>(extraSlack) + 1;
   std::vector<DsePoint> points(count);
-  auto pool = makePool(base.jobs, count);
-  parallelFor(pool.get(), count, [&](std::size_t idx, int worker) {
+  parallelFor(dsePool(sweepWidth(base.jobs, count)), count,
+              [&](std::size_t idx) {
     SynthesisOptions opts = base;
     opts.scheduler = SchedulerKind::ForceDirected;
     opts.timeConstraint = maxBlockSteps + static_cast<int>(idx);
     points[idx] = synthesizePoint(
         *fn, opts, std::to_string(opts.timeConstraint) + " steps",
-        opts.timeConstraint, worker);
+        opts.timeConstraint);
   });
   markPareto(points);
   obs::Logger::global().info("dse", "time sweep done",
@@ -173,43 +188,35 @@ std::vector<DsePoint> chippeIterate(const std::string& source,
                                     int targetLatency, int maxUniversalFus,
                                     SynthesisOptions base) {
   auto fn = FrontendCache::global().get(source, "", base.opt);
-  auto pool = makePool(base.jobs, 2);
+  const int width = sweepWidth(
+      base.jobs, static_cast<std::size_t>(std::max(maxUniversalFus, 1)));
+  ThreadPool* pool = dsePool(width);
 
-  auto synthAt = [&](int n) {
-    SynthesisOptions opts = base;
-    opts.scheduler = SchedulerKind::List;
-    opts.resources = ResourceLimits::universalSet(n);
-    const int worker = pool ? pool->currentWorker() : -1;
-    return synthesizePoint(*fn, opts, std::to_string(n) + " FUs", n, worker);
-  };
-
+  // The feedback decisions are sequential, but each round synthesizes the
+  // next `width` budgets at once and then judges them in order, so the
+  // loop runs as wide as the sweeps. The points of a round past the
+  // accepted one are wasted work: at most width - 1, none at jobs = 1.
   std::vector<DsePoint> points;
-  std::optional<DsePoint> ready;  ///< speculated result for the current n
-  for (int n = 1; n <= maxUniversalFus; ++n) {
-    // The feedback decision is sequential, but the pool can already work
-    // on the next budget while this one synthesizes (first lap) or while
-    // its result is judged. At most one point is wasted on a stop.
-    std::optional<std::future<DsePoint>> inflight;
-    if (pool && n + 1 <= maxUniversalFus)
-      inflight = pool->submit([&synthAt, next = n + 1] {
-        return synthAt(next);
-      });
-
-    DsePoint p = ready ? std::move(*ready) : synthAt(n);
-    ready.reset();
-    points.push_back(std::move(p));
-
-    const DsePoint& cur = points.back();
-    const bool met = cur.latencySteps <= targetLatency;
-    const bool flat =
-        n > 1 && points[points.size() - 2].latencySteps == cur.latencySteps;
-    if (met || flat) {
-      // Accept. The speculative point (if any) is wasted work; wait for it
-      // so it cannot outlive the locals it references.
-      if (inflight) inflight->wait();
-      break;
+  std::vector<DsePoint> round;
+  bool accepted = false;
+  for (int first = 1; first <= maxUniversalFus && !accepted;
+       first += width) {
+    round.assign(static_cast<std::size_t>(
+                     std::min(width, maxUniversalFus - first + 1)),
+                 DsePoint{});
+    parallelFor(pool, round.size(), [&](std::size_t k) {
+      round[k] = budgetPoint(*fn, base, first + static_cast<int>(k));
+    });
+    for (DsePoint& p : round) {
+      const bool met = p.latencySteps <= targetLatency;
+      const bool flat =
+          !points.empty() && points.back().latencySteps == p.latencySteps;
+      points.push_back(std::move(p));
+      if (met || flat) {
+        accepted = true;
+        break;
+      }
     }
-    if (inflight) ready = inflight->get();
   }
   markPareto(points);
   if (!points.empty())

@@ -18,11 +18,16 @@
 //
 // Throughput model: each entry point compiles and optimizes the source
 // exactly once (core/frontend_cache.h), hands every sweep point a clone of
-// the cached IR, and synthesizes the points concurrently on a work-stealing
-// pool sized by SynthesisOptions::jobs (common/thread_pool.h). The sweeps
-// are embarrassingly parallel; Chippe's feedback loop is inherently
-// sequential but speculatively pre-synthesizes limit+1 while the current
-// limit is being evaluated. Results are deterministic: points land in
+// the cached IR, and synthesizes the points `jobs` wide
+// (SynthesisOptions::jobs), or as wide as there are points if fewer: the
+// calling thread and width - 1 workers of a work-stealing pool
+// (common/thread_pool.h) claim points off one counter. The pool is made
+// on first use for each worker count and then kept for the life of the
+// process, so a sweep pays no thread start-up. The sweeps
+// are embarrassingly parallel. Chippe's feedback loop is inherently
+// sequential; it synthesizes its budgets in rounds of `jobs` and judges
+// each round in order, so it wastes at most jobs - 1 points when the loop
+// stops, and none at jobs = 1. Results are deterministic: points land in
 // index order and markPareto is input-order independent, so the returned
 // vector — and any Verilog captured per point — is identical at every
 // thread count.
@@ -43,14 +48,10 @@ struct DsePoint {
   double area = 0;
   bool pareto = false;     ///< on the area/latency Pareto front
 
-  // Diagnostics, excluded from renderPoints and equality: which worker
-  // synthesized the point and how long it took. These legitimately differ
-  // between runs and thread counts. wallSeconds is measured by the same
-  // "dse.point" TraceSpan that emits the point into --trace output.
-  double wallSeconds = 0;  ///< backend synthesis wall time for this point
-  int threadId = 0;        ///< pool worker index (0 on the serial path)
-  int traceTid = 0;        ///< obs::Tracer track id of the executing thread
-  std::string threadName;  ///< tracer track name, e.g. "dse-2"
+  // Excluded from renderPoints and equality, since it differs between runs:
+  // the backend synthesis wall time, measured by the same "dse.point"
+  // TraceSpan that emits the point into --trace output.
+  double wallSeconds = 0;
 
   /// Emitted Verilog for the point's design; filled only when
   /// SynthesisOptions::dseCaptureVerilog is set and the latency model is
@@ -94,9 +95,10 @@ void markPareto(std::vector<DsePoint>& points);
 /// Chippe-style feedback: grow the FU budget until the latency target is
 /// met (or the budget cap is reached); returns the visited points, last
 /// one being the accepted design. The feedback decisions are sequential,
-/// but with jobs > 1 the next budget is speculatively synthesized on the
-/// pool while the current one is evaluated (at most one point of wasted
-/// work when the loop stops).
+/// but the budgets are synthesized `jobs` at a time and judged in order;
+/// the points of the last round past the accepted one are discarded, so
+/// at most jobs - 1 points are wasted (none at jobs = 1). The dse.points
+/// counter counts them too.
 [[nodiscard]] std::vector<DsePoint> chippeIterate(const std::string& source,
                                                   int targetLatency,
                                                   int maxUniversalFus = 8,

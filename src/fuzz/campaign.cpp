@@ -72,10 +72,11 @@ void sweep(int jobs, std::size_t n, const DiffOptions& diff,
   };
   std::vector<Slot> slots(n);
 
-  const int workers = resolveJobs(jobs);
+  // The calling thread is one of the `jobs` runners.
+  const int workers = resolveJobs(jobs) - 1;
   std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers, "fuzz");
-  parallelFor(pool.get(), n * tasks, [&](std::size_t t, int) {
+  if (workers > 0) pool = std::make_unique<ThreadPool>(workers, "fuzz");
+  parallelFor(pool.get(), n * tasks, [&](std::size_t t) {
     const std::size_t i = t / tasks, k = t % tasks;
     Slot& s = slots[i];
     SourceRun* run = nullptr;

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "core/designs.h"
@@ -19,6 +23,8 @@
 #include "fuzz/bdl_gen.h"
 #include "ir/analysis.h"
 #include "ir/verify.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sched/force_directed.h"
 #include "sched/sched_util.h"
 #include "sched/schedule.h"
@@ -122,22 +128,94 @@ TEST(DseParallelClone, AllBuiltinDesignsCloneClean) {
 
 TEST(DseParallelPool, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::atomic<int>> hits(997);
-  parallelFor(&pool, hits.size(), [&](std::size_t i, int worker) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
+  parallelFor(&pool, hits.size(), [&](std::size_t i) {
+    // Each iteration runs on a worker of this pool or on the caller.
+    const int worker = pool.currentWorker();
+    if (std::this_thread::get_id() == caller) {
+      EXPECT_EQ(worker, -1);
+    } else {
+      EXPECT_GE(worker, 0);
+      EXPECT_LT(worker, 4);
+    }
     hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(DseParallelPool, SerialBypassRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> order;
-  parallelFor(nullptr, 5, [&](std::size_t i, int worker) {
-    EXPECT_EQ(worker, 0);
+  parallelFor(nullptr, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(static_cast<int>(i));  // no pool: strictly in order
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+namespace {
+
+// Arrive at `started` and wait, up to 10 s, until every party has arrived;
+// false on a timeout, so a test fails instead of hanging.
+bool arriveAndWait(std::latch& started) {
+  started.count_down();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!started.try_wait()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// True when `width` iterations ran at the same time, on `width` threads.
+bool iterationsMeet(ThreadPool* pool, std::size_t width) {
+  std::latch started(static_cast<std::ptrdiff_t>(width));
+  std::atomic<std::size_t> met{0};
+  parallelFor(pool, width, [&](std::size_t) {
+    if (arriveAndWait(started)) met.fetch_add(1);
+  });
+  return met.load() == width;
+}
+
+}  // namespace
+
+TEST(DseParallelPool, CallerAndEveryWorkerRunAtOnce) {
+  ThreadPool pool(3);
+  EXPECT_TRUE(iterationsMeet(&pool, static_cast<std::size_t>(pool.size()) + 1));
+}
+
+TEST(DseParallelPool, OneWorkerPoolRunsTwoWide) {
+  ThreadPool pool(1);
+  EXPECT_TRUE(iterationsMeet(&pool, 2));
+}
+
+TEST(DseParallelPool, CallerExceptionWaitsForHelpers) {
+  // Two iterations on two threads; the caller's throws at once, the
+  // worker's finishes 50 ms later. The exception must reach the caller
+  // only after that.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch started(2);
+  std::atomic<bool> helperDone{false};
+  bool ranOnCaller = false;
+  try {
+    parallelFor(&pool, 2, [&](std::size_t) {
+      ASSERT_TRUE(arriveAndWait(started));
+      if (std::this_thread::get_id() == caller) {
+        ranOnCaller = true;
+        throw std::runtime_error("caller");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      helperDone.store(true);
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller");
+    EXPECT_TRUE(helperDone.load());
+  }
+  EXPECT_TRUE(ranOnCaller);
 }
 
 TEST(DseParallelPool, SubmitReturnsValues) {
@@ -151,7 +229,7 @@ TEST(DseParallelPool, SubmitReturnsValues) {
 TEST(DseParallelPool, WorkStealingDrainsUnevenLoad) {
   ThreadPool pool(4);
   std::atomic<long> sum{0};
-  parallelFor(&pool, 64, [&](std::size_t i, int) {
+  parallelFor(&pool, 64, [&](std::size_t i) {
     long local = 0;  // index 0 is ~64x the work of index 63
     const long spin = 2000 * static_cast<long>(64 - i);
     for (long k = 0; k < spin; ++k) local += k % 7;
@@ -164,10 +242,27 @@ TEST(DseParallelPool, ExceptionsPropagateToCaller) {
   ThreadPool pool(2);
   EXPECT_THROW(
       parallelFor(&pool, 8,
-                  [&](std::size_t i, int) {
+                  [&](std::size_t i) {
                     if (i == 3) throw std::runtime_error("boom");
                   }),
       std::runtime_error);
+}
+
+TEST(DseParallelPool, EveryIndexRunsAndTheLowestFailureIsRethrown) {
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<std::atomic<int>> hits(64);
+    try {
+      parallelFor(&pool, hits.size(), [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        if (i % 10 == 7) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "7");
+    }
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(DseParallelPool, ResolveJobsSemantics) {
@@ -198,7 +293,7 @@ TEST(DseParallelCache, ConcurrentGetsAreSafe) {
   FrontendCache cache;
   ThreadPool pool(4);
   std::vector<std::shared_ptr<const Function>> got(32);
-  parallelFor(&pool, got.size(), [&](std::size_t i, int) {
+  parallelFor(&pool, got.size(), [&](std::size_t i) {
     got[i] = cache.get(designs::ewfSource(), "", OptLevel::Standard);
   });
   for (const auto& fn : got) {
@@ -216,12 +311,26 @@ TEST(DseParallelSweep, ResourceSweepIdenticalAcrossJobCounts) {
 }
 
 TEST(DseParallelSweep, ResourceSweepRecordsDiagnostics) {
+  // Every point records its wall time, and its dse.point span ran on one
+  // of the jobs - 1 = 3 DSE workers' lanes or on the caller's own lane.
+  auto& tr = obs::Tracer::global();
+  tr.disable();
+  tr.clear();
+  tr.enable();
   auto points = sweepWithJobs(designs::diffeqSource(), 4, 4);
-  for (const auto& p : points) {
-    EXPECT_GT(p.wallSeconds, 0.0);
-    EXPECT_GE(p.threadId, 0);
-    EXPECT_LT(p.threadId, 4);
-  }
+  tr.disable();
+  for (const auto& p : points) EXPECT_GT(p.wallSeconds, 0.0);
+  const std::set<std::string> lanes = {"dse-0", "dse-1", "dse-2"};
+  std::size_t spans = 0;
+  for (const auto& track : tr.snapshot())
+    for (const auto& e : track.events) {
+      if (e.phase != 'B' || e.name != "dse.point") continue;
+      ++spans;
+      EXPECT_TRUE(track.tid == tr.currentTid() || lanes.count(track.name))
+          << "dse.point on lane " << track.name;
+    }
+  EXPECT_EQ(spans, points.size());
+  tr.clear();
 }
 
 TEST(DseParallelSweep, TimeSweepIdenticalAcrossJobCounts) {
@@ -295,6 +404,31 @@ TEST(DseParallelSweep, ChippeIdenticalAcrossJobCounts) {
   base.jobs = 4;
   auto parallel = chippeIterate(designs::ewfSource(), target, 8, base);
   expectPointsIdentical(serial, parallel);
+}
+
+TEST(DseParallelSweep, ChippeWastesAtMostJobsMinusOnePoints) {
+  // Targets from unreachable (the loop stops on a flat latency or the cap)
+  // to met by the first budget.
+  auto& synthesized = obs::MetricsRegistry::global().counter("dse.points");
+  std::set<int> targets = {0, 1000};
+  for (const auto& p : sweepWithJobs(designs::ewfSource(), 8, 1))
+    targets.insert(p.latencySteps);
+  for (const int jobs : {1, 2, 4}) {
+    for (const int t : targets) {
+      SynthesisOptions base;
+      base.jobs = jobs;
+      const std::uint64_t before = synthesized.value();
+      const auto points = chippeIterate(designs::ewfSource(), t, 8, base);
+      const std::uint64_t delta = synthesized.value() - before;
+      ASSERT_FALSE(points.empty());
+      if (jobs == 1) {
+        EXPECT_EQ(delta, points.size()) << "target " << t;
+      }
+      EXPECT_GE(delta, points.size()) << "target " << t;
+      EXPECT_LE(delta, points.size() + jobs - 1)
+          << "jobs " << jobs << " target " << t;
+    }
+  }
 }
 
 TEST(DseParallelSweep, MatchesLegacyPerPointSynthesis) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "check/check.h"
 #include "common/thread_pool.h"
 #include "core/designs.h"
+#include "core/dse.h"
 #include "core/synthesizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -597,16 +599,53 @@ TEST(ThreadPoolObs, WorkersRegisterStableNamedTracks) {
   EXPECT_EQ(pool.workerName(0), "dse-0");
   EXPECT_EQ(pool.workerName(1), "dse-1");
 
+  // An iteration runs on worker k's "dse-<k>" lane, or on the caller's.
+  const int callerTid = obs::Tracer::global().currentTid();
   std::vector<std::string> seen(4);
-  parallelFor(&pool, seen.size(), [&](std::size_t i, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 2);
+  parallelFor(&pool, seen.size(), [&](std::size_t i) {
+    const int worker = pool.currentWorker();
     seen[i] = obs::Tracer::global().currentThreadName();
+    if (worker < 0) {
+      EXPECT_EQ(obs::Tracer::global().currentTid(), callerTid);
+      return;
+    }
+    ASSERT_LT(worker, 2);
     EXPECT_EQ(seen[i], pool.workerName(worker));
     EXPECT_EQ(obs::Tracer::global().currentTid(),
               pool.workerTraceTid(worker));
   });
-  for (const auto& name : seen) EXPECT_EQ(name.rfind("dse-", 0), 0u);
+  for (const auto& name : seen) EXPECT_FALSE(name.empty());
+}
+
+// The DSE pool is made once per worker count and kept: after the first
+// sweep at a given width, more sweeps start no thread and register no
+// tracer track.
+TEST(ThreadPoolObs, RepeatedSweepsReuseOneDsePool) {
+  TracerReset guard;
+  auto taskCount = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+      ++n;
+    return n;
+  };
+  SynthesisOptions base;
+  base.jobs = 4;
+  auto sweep = [&] {
+    return exploreResourceSweep(designs::diffeqSource(), 4, base);
+  };
+  (void)sweep();
+  const std::size_t tasks = taskCount();
+  const std::size_t tracks = obs::Tracer::global().snapshot().size();
+  for (int k = 0; k < 50; ++k) EXPECT_EQ(sweep().size(), 4u);
+  EXPECT_EQ(taskCount(), tasks);
+  EXPECT_EQ(obs::Tracer::global().snapshot().size(), tracks);
+
+  // A sweep runs no wider than it has points: 4 points at jobs = 64 need
+  // at most 3 workers, which the sweeps above already made.
+  base.jobs = 64;
+  EXPECT_EQ(sweep().size(), 4u);
+  EXPECT_EQ(taskCount(), tasks);
 }
 
 // A worker that records nothing leaves no track behind when it exits, so
