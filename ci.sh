@@ -34,7 +34,8 @@
 #  - a serve smoke: daemon on an ephemeral port, byte-diff of every
 #    endpoint against the offline CLI, a Prometheus text-exposition gate,
 #    a concurrent loadgen run with a schema and zero-error check of
-#    BENCH_serve.json, a SIGQUIT flight-recorder dump against the live
+#    BENCH_serve.json (repeated against a one-worker `--jobs 1` daemon),
+#    a SIGQUIT flight-recorder dump against the live
 #    daemon, a graceful SIGTERM drain, and a structured access-log schema
 #    check.
 set -eu
@@ -479,24 +480,45 @@ EOF
 # --- Serve smoke: daemon on an ephemeral port, byte-diff of every JSON
 # endpoint against the offline CLI (the responses must be identical down
 # to the last byte), a concurrent loadgen campaign with a schema check of
-# BENCH_serve.json (zero errors tolerated), and a graceful SIGTERM drain.
+# BENCH_serve.json (zero errors tolerated), the same campaign against a
+# one-worker daemon, and a graceful SIGTERM drain.
 SERVE_OUT=build/serve-smoke
 mkdir -p "$SERVE_OUT"
+
+# Print the port of the daemon logging to $1 once it listens; fail if it
+# does not start within 10 s.
+serve_port() {
+  for _ in $(seq 1 100); do
+    grep -q "listening on" "$1" 2>/dev/null && break
+    sleep 0.1
+  done
+  port=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' "$1" | head -1)
+  if [ -z "$port" ]; then
+    echo "serve smoke: daemon did not start" >&2
+    cat "$1" >&2
+    return 1
+  fi
+  echo "$port"
+}
+
+# Stop the daemon $1 with SIGTERM and require a clean drain in its log $2.
+serve_drain() {
+  kill -TERM "$1"
+  if ! wait "$1"; then
+    echo "serve smoke: daemon exited nonzero after SIGTERM" >&2
+    exit 1
+  fi
+  grep -q "drained" "$2" || {
+    echo "serve smoke: daemon did not report a clean drain" >&2
+    exit 1
+  }
+}
+
 ./build/src/cli/mphls serve --port 0 \
   --log-file "$SERVE_OUT/access.jsonl" --log-level info \
   --flight-dump "$SERVE_OUT/flight.dump" > "$SERVE_OUT/serve.log" 2>&1 &
 SERVE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$SERVE_OUT/serve.log" 2>/dev/null && break
-  sleep 0.1
-done
-SERVE_PORT=$(sed -n 's/.*127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-  "$SERVE_OUT/serve.log" | head -1)
-if [ -z "$SERVE_PORT" ]; then
-  echo "serve smoke: daemon did not start" >&2
-  cat "$SERVE_OUT/serve.log" >&2
-  exit 1
-fi
+SERVE_PORT=$(serve_port "$SERVE_OUT/serve.log")
 
 python3 - "$SERVE_PORT" ./build/src/cli/mphls << 'EOF'
 import http.client, json, os, subprocess, sys, tempfile
@@ -654,10 +676,13 @@ for fam, h in hist.items():
 print(f"prometheus gate: {len(samples)} samples, {len(hist)} histograms ok")
 EOF
 
-./build/src/cli/mphls loadgen --url "http://127.0.0.1:$SERVE_PORT" \
-  --clients 6 --requests 60 --mix synth:lint:sim:sta --seed 7 \
-  --out "$SERVE_OUT/BENCH_serve.json"
-python3 - "$SERVE_OUT/BENCH_serve.json" << 'EOF'
+# Run the 6-client loadgen against the daemon on port $1, writing $2, and
+# check BENCH_serve.json: schema, zero errors, a warm frontend cache.
+serve_loadgen() {
+  ./build/src/cli/mphls loadgen --url "http://127.0.0.1:$1" \
+    --clients 6 --requests 60 --mix synth:lint:sim:sta --seed 7 \
+    --out "$2"
+  python3 - "$2" << 'EOF'
 import json, sys
 
 bench = json.load(open(sys.argv[1]))
@@ -685,6 +710,18 @@ print(f"serve loadgen smoke: {bench['requests']} requests, "
       f"{bench['requests_per_second']:.0f} req/s, zero errors, "
       f"cache hit rate {100 * bench['cache']['hit_rate']:.0f}%")
 EOF
+}
+
+serve_loadgen "$SERVE_PORT" "$SERVE_OUT/BENCH_serve.json"
+
+# The same loadgen against a one-worker daemon: every request of the six
+# clients queues for one pool worker, in arrival order.
+./build/src/cli/mphls serve --port 0 --jobs 1 \
+  > "$SERVE_OUT/serve-jobs1.log" 2>&1 &
+SERVE1_PID=$!
+SERVE1_PORT=$(serve_port "$SERVE_OUT/serve-jobs1.log")
+serve_loadgen "$SERVE1_PORT" "$SERVE_OUT/BENCH_serve_jobs1.json"
+serve_drain "$SERVE1_PID" "$SERVE_OUT/serve-jobs1.log"
 
 # --- Flight-recorder smoke: send one deterministic request, SIGQUIT the
 # live daemon, and require the dump's newest serve access event to name
@@ -740,15 +777,7 @@ assert doc["events"], "/debug/flight has no events"
 print("flight smoke: daemon alive after SIGQUIT, /debug/flight ok")
 EOF
 
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-  echo "serve smoke: daemon exited nonzero after SIGTERM" >&2
-  exit 1
-fi
-grep -q "drained" "$SERVE_OUT/serve.log" || {
-  echo "serve smoke: daemon did not report a clean drain" >&2
-  exit 1
-}
+serve_drain "$SERVE_PID" "$SERVE_OUT/serve.log"
 
 # The structured access log must hold one parseable JSONL record per
 # dispatched request, including the marker /synth.

@@ -45,13 +45,6 @@ bool CheckReport::has(std::string_view id) const {
   return false;
 }
 
-std::size_t CheckReport::countOf(std::string_view id) const {
-  std::size_t n = 0;
-  for (const auto& d : diags_)
-    if (d.id == id) ++n;
-  return n;
-}
-
 std::string CheckReport::firstError() const {
   for (const auto& d : diags_)
     if (d.severity == CheckSeverity::Error) return d.str();

@@ -66,7 +66,6 @@ class CheckReport {
 
   /// True when any finding carries check id `id`.
   [[nodiscard]] bool has(std::string_view id) const;
-  [[nodiscard]] std::size_t countOf(std::string_view id) const;
 
   [[nodiscard]] const std::vector<CheckDiag>& all() const { return diags_; }
   [[nodiscard]] bool empty() const { return diags_.empty(); }

@@ -37,7 +37,6 @@ class DisjointSet {
     return find(a) == find(b);
   }
   [[nodiscard]] std::size_t sizeOf(std::size_t x) { return size_[find(x)]; }
-  [[nodiscard]] std::size_t elementCount() const { return parent_.size(); }
 
  private:
   std::vector<std::size_t> parent_;

@@ -1,7 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <map>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -20,23 +23,18 @@ ThreadPool::ThreadPool(int numThreads, std::string namePrefix)
     : namePrefix_(std::move(namePrefix)) {
   if (numThreads < 1) numThreads = 1;
   traceTids_.assign(static_cast<std::size_t>(numThreads), -1);
-  queues_.reserve(static_cast<std::size_t>(numThreads));
-  for (int i = 0; i < numThreads; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   threads_.reserve(static_cast<std::size_t>(numThreads));
   for (int i = 0; i < numThreads; ++i)
     threads_.emplace_back(
         [this, i] { workerLoop(static_cast<std::size_t>(i)); });
-  std::unique_lock<std::mutex> lk(wakeMutex_);
-  allStarted_.wait(lk, [this] { return started_ == threads_.size(); });
+  std::unique_lock<std::mutex> lk(mutex_);
+  wake_.wait(lk, [this] { return started_ == threads_.size(); });
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
   {
-    // Pairs with the predicate re-check under wakeMutex_ in workerLoop so
-    // no worker can miss the stop signal between its check and its wait.
-    std::lock_guard<std::mutex> lk(wakeMutex_);
+    std::lock_guard<std::mutex> lk(mutex_);
+    stop_ = true;
   }
   wake_.notify_all();
   for (auto& t : threads_) t.join();
@@ -61,52 +59,11 @@ int ThreadPool::hardwareConcurrency() {
 }
 
 void ThreadPool::push(std::function<void()> f) {
-  // A worker submitting from inside a task keeps the work local (LIFO);
-  // outside submitters deal queues round-robin.
-  std::size_t target;
-  if (tlsPool == this) {
-    target = static_cast<std::size_t>(tlsWorker);
-  } else {
-    target = nextQueue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
-  }
   {
-    std::lock_guard<std::mutex> lk(queues_[target]->m);
-    queues_[target]->q.push_back(std::move(f));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    // Pairs with the predicate re-check under wakeMutex_ in workerLoop: a
-    // worker that found pending_ == 0 is either still before its check or
-    // already waiting, so this notify cannot fall between the two.
-    std::lock_guard<std::mutex> lk(wakeMutex_);
+    std::lock_guard<std::mutex> lk(mutex_);
+    queue_.push_back(std::move(f));
   }
   wake_.notify_one();
-}
-
-bool ThreadPool::popOrSteal(std::size_t self, std::function<void()>& out) {
-  // Own deque first, newest-first.
-  {
-    WorkerQueue& mine = *queues_[self];
-    std::lock_guard<std::mutex> lk(mine.m);
-    if (!mine.q.empty()) {
-      out = std::move(mine.q.back());
-      mine.q.pop_back();
-      return true;
-    }
-  }
-  // Steal oldest-first from the other workers, starting just after self so
-  // victims rotate instead of everyone hammering worker 0.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& victim = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lk(victim.m);
-    if (!victim.q.empty()) {
-      out = std::move(victim.q.front());
-      victim.q.pop_front();
-      return true;
-    }
-  }
-  return false;
 }
 
 void ThreadPool::workerLoop(std::size_t idx) {
@@ -115,31 +72,45 @@ void ThreadPool::workerLoop(std::size_t idx) {
   const int tid =
       obs::Tracer::global().setThreadName(workerName(static_cast<int>(idx)));
   {
-    std::lock_guard<std::mutex> lk(wakeMutex_);
+    std::lock_guard<std::mutex> lk(mutex_);
     traceTids_[idx] = tid;
     ++started_;
   }
-  allStarted_.notify_one();
+  // The constructor waits on wake_ too; workers already idle re-check
+  // their predicate and sleep again.
+  wake_.notify_all();
   for (;;) {
     std::function<void()> task;
-    if (popOrSteal(idx, task)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      task();
-      continue;
+    {
+      std::unique_lock<std::mutex> lk(mutex_);
+      wake_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopped and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lk(wakeMutex_);
-    wake_.wait(lk, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0)
-      return;
+    task();
   }
 }
 
 int resolveJobs(int jobs) {
   return jobs <= 0 ? ThreadPool::hardwareConcurrency() : jobs;
+}
+
+int poolWidth(int jobs, std::size_t items) {
+  return static_cast<int>(std::clamp<std::size_t>(
+      items, 1, static_cast<std::size_t>(resolveJobs(jobs))));
+}
+
+ThreadPool* sharedPool(const std::string& prefix, int jobs,
+                       std::size_t items) {
+  const int width = poolWidth(jobs, items);
+  if (width == 1) return nullptr;
+  static std::mutex mutex;
+  static auto* pools = new std::map<std::pair<std::string, int>, ThreadPool*>;
+  std::lock_guard<std::mutex> lock(mutex);
+  ThreadPool*& pool = (*pools)[{prefix, width}];
+  if (pool == nullptr) pool = new ThreadPool(width - 1, prefix);
+  return pool;
 }
 
 namespace {

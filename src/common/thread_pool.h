@@ -1,19 +1,18 @@
-// A small work-stealing thread pool for the synthesis-throughput layer.
+// A small FIFO thread pool for the synthesis-throughput layer.
 //
 // Design-space exploration synthesizes many independent design points
 // (Section 1.2: "several designs for the same specification in a
 // reasonable amount of time"); the pool lets those points run
-// concurrently. Each worker owns a deque: it pushes and pops its own
-// work LIFO (cache-warm) and steals FIFO from the other workers when its
-// deque runs dry, so an uneven sweep (e.g. branch-and-bound points next
-// to list-scheduled ones) still keeps every thread busy.
+// concurrently. Its workers take tasks from one queue in submission
+// order. Uneven work needs no per-worker queues: parallelFor hands out
+// indices off a shared counter, so a runner that finishes early claims
+// the next one.
 //
 // Determinism contract: the pool schedules *execution*, never *results*.
 // Callers hand every task a distinct output slot (see parallelFor), so
 // the values produced are identical at any thread count.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -34,15 +33,14 @@ class ThreadPool {
   /// constructor returns once every worker has registered.
   explicit ThreadPool(int numThreads, std::string namePrefix = "pool");
 
-  /// Joins all workers after draining the queues.
+  /// Joins all workers after draining the queue.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a callable; returns a future for its result. Tasks submitted
-  /// from a worker thread go to that worker's own deque (LIFO), others are
-  /// distributed round-robin.
+  /// Enqueue a callable; returns a future for its result. Workers run
+  /// queued tasks in submission order.
   template <typename F>
   auto submit(F f) -> std::future<decltype(f())> {
     using R = decltype(f());
@@ -68,36 +66,45 @@ class ThreadPool {
   [[nodiscard]] static int hardwareConcurrency();
 
  private:
-  struct WorkerQueue {
-    std::mutex m;
-    std::deque<std::function<void()>> q;
-  };
-
   friend void parallelFor(ThreadPool*, std::size_t,
                           const std::function<void(std::size_t)>&);
 
   void push(std::function<void()> f);
-  bool popOrSteal(std::size_t self, std::function<void()>& out);
   void workerLoop(std::size_t idx);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::string namePrefix_;
+  std::mutex mutex_;  ///< guards queue_, traceTids_, started_ and stop_
+  /// Signals a queued task or stop_ to the workers, and each worker's
+  /// registration to the constructor.
+  std::condition_variable wake_;
+  std::deque<std::function<void()>> queue_;
   /// Tracer tid per worker; written by the worker thread on startup,
   /// before the constructor returns.
   std::vector<int> traceTids_;
-  std::vector<std::thread> threads_;
-  std::mutex wakeMutex_;  ///< also guards traceTids_ and started_
-  std::condition_variable wake_;
-  std::condition_variable allStarted_;
   std::size_t started_ = 0;  ///< workers that have registered
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> pending_{0};   ///< queued, not yet popped
-  std::atomic<std::size_t> nextQueue_{0}; ///< round-robin submission cursor
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  ///< last: the workers use the above
 };
 
 /// Resolve a `jobs` option to a worker count: <= 0 means "one per hardware
 /// thread", anything else is taken literally.
 [[nodiscard]] int resolveJobs(int jobs);
+
+/// How wide parallelFor should run `items` work items at `jobs`:
+/// resolveJobs(jobs), but no wider than there are items, and at least 1.
+/// Running W wide takes a pool of W - 1 workers, and none at width 1.
+[[nodiscard]] int poolWidth(int jobs, std::size_t items);
+
+/// The pool that runs `items` work items poolWidth(jobs, items) wide
+/// beside the calling thread: width - 1 workers named "<prefix>-<k>", or
+/// null at width 1, where parallelFor runs inline. There is one pool per
+/// (prefix, width) for the life of the process, for callers such as DSE
+/// sweeps that take a few milliseconds, where spawning and joining threads
+/// on every call would cost a visible share. The pools are never
+/// destroyed; joining them from a static destructor could run after
+/// obs::Tracer::global(), whose tracks the workers hold, has gone.
+[[nodiscard]] ThreadPool* sharedPool(const std::string& prefix, int jobs,
+                                     std::size_t items);
 
 /// Run `fn(index)` for every index in [0, n). The calling thread is one of
 /// the runners: it claims indices off a shared counter alongside up to

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <numeric>
 
 #include "common/thread_pool.h"
@@ -18,31 +16,6 @@
 namespace mphls {
 
 namespace {
-
-/// How many points of a sweep run at once: `jobs`, but no more than there
-/// are points.
-int sweepWidth(int jobs, std::size_t points) {
-  const auto jobsWide = static_cast<std::size_t>(resolveJobs(jobs));
-  return static_cast<int>(
-      std::min(jobsWide, std::max<std::size_t>(points, 1)));
-}
-
-/// The pool that runs a sweep `width` wide beside its caller: width - 1
-/// workers, or null when `width` is 1. There is one pool per worker count
-/// for the life of the process: a sweep takes a few milliseconds, so
-/// spawning and joining threads for each one cost a visible share of it.
-/// The pools are never destroyed; joining them from a static destructor
-/// could run after obs::Tracer::global(), whose tracks the workers hold,
-/// has gone.
-ThreadPool* dsePool(int width) {
-  if (width <= 1) return nullptr;
-  static std::mutex mutex;
-  static auto* pools = new std::map<int, ThreadPool*>;
-  std::lock_guard<std::mutex> lock(mutex);
-  ThreadPool*& pool = (*pools)[width - 1];
-  if (pool == nullptr) pool = new ThreadPool(width - 1, "dse");
-  return pool;
-}
 
 /// Synthesize one sweep point from the shared optimized IR.
 DsePoint synthesizePoint(const Function& fn, const SynthesisOptions& opts,
@@ -141,7 +114,7 @@ std::vector<DsePoint> exploreResourceSweep(const std::string& source,
   std::vector<DsePoint> points(count);
   obs::Logger::global().debug("dse", "resource sweep start",
                               {{"points", count}, {"jobs", base.jobs}});
-  parallelFor(dsePool(sweepWidth(base.jobs, count)), count,
+  parallelFor(sharedPool("dse", base.jobs, count), count,
               [&](std::size_t idx) {
     points[idx] = budgetPoint(*fn, base, static_cast<int>(idx) + 1);
   });
@@ -169,7 +142,7 @@ std::vector<DsePoint> exploreTimeSweep(const std::string& source,
   if (extraSlack < 0) extraSlack = 0;
   const std::size_t count = static_cast<std::size_t>(extraSlack) + 1;
   std::vector<DsePoint> points(count);
-  parallelFor(dsePool(sweepWidth(base.jobs, count)), count,
+  parallelFor(sharedPool("dse", base.jobs, count), count,
               [&](std::size_t idx) {
     SynthesisOptions opts = base;
     opts.scheduler = SchedulerKind::ForceDirected;
@@ -188,9 +161,9 @@ std::vector<DsePoint> chippeIterate(const std::string& source,
                                     int targetLatency, int maxUniversalFus,
                                     SynthesisOptions base) {
   auto fn = FrontendCache::global().get(source, "", base.opt);
-  const int width = sweepWidth(
-      base.jobs, static_cast<std::size_t>(std::max(maxUniversalFus, 1)));
-  ThreadPool* pool = dsePool(width);
+  ThreadPool* pool = sharedPool(
+      "dse", base.jobs, static_cast<std::size_t>(std::max(maxUniversalFus, 0)));
+  const int width = pool == nullptr ? 1 : pool->size() + 1;
 
   // The feedback decisions are sequential, but each round synthesizes the
   // next `width` budgets at once and then judges them in order, so the

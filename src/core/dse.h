@@ -20,11 +20,11 @@
 // exactly once (core/frontend_cache.h), hands every sweep point a clone of
 // the cached IR, and synthesizes the points `jobs` wide
 // (SynthesisOptions::jobs), or as wide as there are points if fewer: the
-// calling thread and width - 1 workers of a work-stealing pool
-// (common/thread_pool.h) claim points off one counter. The pool is made
-// on first use for each worker count and then kept for the life of the
-// process, so a sweep pays no thread start-up. The sweeps
-// are embarrassingly parallel. Chippe's feedback loop is inherently
+// calling thread and width - 1 workers of the process's "dse" pool of
+// that width (sharedPool in common/thread_pool.h) claim points off one
+// counter. The pool is made on first use and then kept for the life of
+// the process, so a sweep pays no thread start-up. The sweeps are
+// embarrassingly parallel. Chippe's feedback loop is inherently
 // sequential; it synthesizes its budgets in rounds of `jobs` and judges
 // each round in order, so it wastes at most jobs - 1 points when the loop
 // stops, and none at jobs = 1. Results are deterministic: points land in

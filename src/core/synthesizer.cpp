@@ -61,16 +61,6 @@ SynthesisResult Synthesizer::synthesizeSource(const std::string& source,
   return synthesize(compileBdlOrThrow(source, top));
 }
 
-void StageTimes::accumulate(const StageTimes& o) {
-  optimize += o.optimize;
-  schedule += o.schedule;
-  allocate += o.allocate;
-  control += o.control;
-  estimate += o.estimate;
-  check += o.check;
-  prove += o.prove;
-}
-
 SynthesisResult Synthesizer::synthesize(Function fn) {
   verifyOrThrow(fn);
 

@@ -65,10 +65,10 @@ struct SynthesisOptions {
   /// obligation. Off by default (proof cost grows with datapath width);
   /// `mphls --prove` / `mphls prove` enables it.
   bool prove = false;
-  /// Worker threads for design-space exploration (core/dse.h): <= 0 means
-  /// one per hardware thread, 1 bypasses the thread pool entirely and runs
-  /// the legacy serial loop. Results are identical at any value; only wall
-  /// time changes.
+  /// How many points design-space exploration (core/dse.h) synthesizes
+  /// at once: <= 0 means one per hardware thread, 1 runs every point on
+  /// the calling thread, in order, with no pool. Results are identical at
+  /// any value; only wall time changes.
   int jobs = 0;
   /// Design-space exploration only: record the emitted Verilog of every
   /// swept design point in DsePoint::verilog (unit-latency models only —
@@ -93,8 +93,6 @@ struct StageTimes {
     return optimize + schedule + allocate + control + estimate + check +
            prove;
   }
-  /// Accumulate another run's times (used when averaging over DSE points).
-  void accumulate(const StageTimes& o);
 };
 
 struct SynthesisResult {

@@ -32,7 +32,6 @@ struct EncodedFsm {
   SopCover minimizedLogic;
 
   [[nodiscard]] int numInputs() const { return logic.numInputs; }
-  [[nodiscard]] int numSignals() const { return (int)signalNames.size(); }
 };
 
 /// Encode the controller and synthesize its control logic. The signal set

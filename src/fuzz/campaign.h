@@ -3,9 +3,10 @@
 //
 // A campaign generates one program per seed in [seedBase, seedBase+seeds)
 // and runs each through the differential matrix (fuzz/diff_runner.h) on
-// the shared work-stealing ThreadPool, one task per (seed, design group):
-// the groups of a seed share its golden run and frontends, and a seed's
-// verdict is assembled, and its state freed, when its last group finishes.
+// a FIFO ThreadPool, at most `jobs` wide and no wider than it has tasks,
+// one task per (seed, design group): the groups of a seed share its
+// golden run and frontends, and a seed's verdict is assembled, and its
+// state freed, when its last group finishes.
 // Then — sequentially, so results are deterministic at any job count — it
 // reduces every failing program against exactly its failing matrix points
 // (fuzz/reduce.h) and saves raw plus minimized entries into the corpus
@@ -28,7 +29,8 @@ namespace mphls::fuzz {
 struct CampaignOptions {
   std::uint64_t seedBase = 1;
   int seeds = 100;
-  /// Worker threads: <= 0 one per hardware thread, 1 runs serially.
+  /// Tasks run at once, never more than the campaign has: <= 0 one per
+  /// hardware thread, 1 runs serially on the calling thread.
   int jobs = 1;
   GenOptions gen;
   DiffOptions diff;

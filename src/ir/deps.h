@@ -62,8 +62,6 @@ class BlockDeps {
   [[nodiscard]] std::span<const std::size_t> preds(std::size_t i) const {
     return {predAdj_.data() + predStart_[i], predStart_[i + 1] - predStart_[i]};
   }
-  /// The OpId of node `i`.
-  [[nodiscard]] OpId opAt(std::size_t i) const { return opIds_[i]; }
   [[nodiscard]] const Op& op(std::size_t i) const {
     return fn_->op(opIds_[i]);
   }

@@ -85,13 +85,6 @@ CompId HwLibrary::findByName(const std::string& name) const {
   return CompId::invalid();
 }
 
-std::vector<CompId> HwLibrary::candidatesFor(OpKind k) const {
-  std::vector<CompId> out;
-  for (const auto& c : comps_)
-    if (c.supports(k)) out.push_back(c.id);
-  return out;
-}
-
 CompId HwLibrary::cheapestFor(OpKind k, int width) const {
   CompId best;
   double bestArea = std::numeric_limits<double>::max();

@@ -73,9 +73,6 @@ class HwLibrary {
   }
   [[nodiscard]] CompId findByName(const std::string& name) const;
 
-  /// All components able to execute `k`.
-  [[nodiscard]] std::vector<CompId> candidatesFor(OpKind k) const;
-
   /// Cheapest (by area at `width`) component executing `k`; invalid id if
   /// none exists.
   [[nodiscard]] CompId cheapestFor(OpKind k, int width) const;

@@ -25,12 +25,6 @@ struct RtlDesign {
   InterconnectResult ic;
   Controller ctrl;
   HwLibrary lib;
-
-  /// Per-op result width lookup used by the simulator/emitter.
-  [[nodiscard]] int opResultWidth(BlockId b, std::size_t opIdx) const {
-    const Op& o = fn.op(fn.block(b).ops[opIdx]);
-    return o.result.valid() ? fn.value(o.result).width : 1;
-  }
 };
 
 }  // namespace mphls

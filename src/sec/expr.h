@@ -54,7 +54,6 @@ class ExprContext {
   int resize(int node, int width);
 
   [[nodiscard]] const Expr& node(int id) const { return nodes_[(std::size_t)id]; }
-  [[nodiscard]] int numNodes() const { return (int)nodes_.size(); }
 
   /// True when `id` is a Const node; `value` receives its pattern.
   [[nodiscard]] bool constValue(int id, std::uint64_t& value) const;

@@ -1,6 +1,6 @@
 // The daemon's socket layer: a poll()-based event loop that owns every
-// file descriptor, with request handling fanned out onto the shared
-// work-stealing ThreadPool.
+// file descriptor, with request handling fanned out onto the server's own
+// FIFO ThreadPool of `jobs` workers.
 //
 // Threading model (see DESIGN.md §14):
 //   - The loop thread (the caller of run()) does ALL socket I/O: accept,

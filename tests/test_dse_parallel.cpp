@@ -226,7 +226,31 @@ TEST(DseParallelPool, SubmitReturnsValues) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(futs[(std::size_t)i].get(), i * i);
 }
 
-TEST(DseParallelPool, WorkStealingDrainsUnevenLoad) {
+TEST(DseParallelPool, OneWorkerRunsTasksInSubmissionOrder) {
+  // Block the only worker, queue tasks behind it, then release it: the
+  // queue is FIFO, so the tasks run in the order they were submitted.
+  ThreadPool pool(1);
+  std::latch blocked(1);
+  std::latch release(1);
+  auto blocker = pool.submit([&] {
+    blocked.count_down();
+    release.wait();
+  });
+  blocked.wait();
+  constexpr int kTasks = 8;
+  std::vector<int> order;  // written by the one worker only
+  std::vector<std::future<void>> done;
+  for (int i = 0; i < kTasks; ++i)
+    done.push_back(pool.submit([&order, i] { order.push_back(i); }));
+  release.count_down();
+  blocker.get();
+  for (auto& f : done) f.get();
+  std::vector<int> want(kTasks);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(order, want);
+}
+
+TEST(DseParallelPool, ParallelForDrainsUnevenLoad) {
   ThreadPool pool(4);
   std::atomic<long> sum{0};
   parallelFor(&pool, 64, [&](std::size_t i) {

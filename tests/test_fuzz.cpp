@@ -5,11 +5,13 @@
 // and the checked-in regression corpus under tests/fixtures/fuzz/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -589,6 +591,37 @@ TEST(FuzzCampaign, ConcurrentGroupsCompileAndSynthesizeOnce) {
   ASSERT_TRUE(r.clean());
   EXPECT_EQ(FrontendCache::global().misses() - misses, 12u);
   EXPECT_EQ(mr.counter("synth.runs").value() - runs, 12u * 12u);
+}
+
+TEST(FuzzCampaign, PoolIsNoWiderThanTheCampaignHasTasks) {
+  // One seed is `tasks` (program, design group) tasks, so --jobs 64 runs
+  // at most `tasks` wide: the calling thread and tasks - 1 pool workers.
+  // The hook counts the process's threads while the campaign's pool runs.
+  auto threadCount = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         fs::directory_iterator("/proc/self/task"))
+      ++n;
+    return n;
+  };
+  std::mutex mutex;
+  std::size_t peak = 0;
+  fuzz::CampaignOptions c;
+  c.seeds = 1;
+  c.jobs = 64;
+  c.diff = quickDiff();
+  c.diff.preBackend = [&](Function&, const fuzz::MatrixPoint&) {
+    const std::size_t n = threadCount();
+    std::lock_guard<std::mutex> lock(mutex);
+    peak = std::max(peak, n);
+  };
+  const std::size_t tasks = fuzz::planGroups(c.diff).groups.size();
+  ASSERT_GE(tasks, 1u);
+  ASSERT_LT(tasks, 64u);
+  const std::size_t before = threadCount();
+  EXPECT_TRUE(fuzz::runCampaign(c).clean());
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak, before + tasks - 1) << tasks << " tasks";
 }
 
 TEST(FuzzCampaign, ReportCarriesTheCampaignShape) {

@@ -649,8 +649,8 @@ TEST(ThreadPoolObs, RepeatedSweepsReuseOneDsePool) {
 }
 
 // A worker that records nothing leaves no track behind when it exits, so
-// making pools over and over (one per DSE sweep or fuzz campaign) does
-// not grow the registry; tids come from a counter and are never reused;
+// making pools over and over (one per fuzz campaign) does not grow the
+// registry; tids come from a counter and are never reused;
 // and a worker that recorded while tracing was on keeps its named lane.
 TEST(ThreadPoolObs, IdleWorkerTracksLeaveTheRegistry) {
   TracerReset guard;
