@@ -12,13 +12,19 @@
 //          controller's PLA area under every state encoding
 //   check  the findings of the four stage-exit analyzers on clean and
 //          deliberately broken designs, in insertion and rendered order
+//   frontend  Function::dump() of the lowered CDFG (or the diagnostics of
+//          a malformed source)
+//   verilog   emitVerilog of the synthesized design
 //
 // The sta/lint lines live in tests/fixtures/sta_lint_digest.txt. The alloc
 // lines live in tests/fixtures/alloc_digest.txt, which also covers 16
 // larger generated programs (300-800 ops) on the greedy allocators. The fd
 // lines live in tests/fixtures/fd_digest.txt, the ctrl lines in
-// tests/fixtures/ctrl_digest.txt and the check lines in
-// tests/fixtures/check_digest.txt. A
+// tests/fixtures/ctrl_digest.txt, the check lines in
+// tests/fixtures/check_digest.txt, and the frontend and verilog lines in
+// tests/fixtures/frontend_digest.txt and tests/fixtures/verilog_digest.txt
+// (builtins, corpus, 400 generated programs, 400-3200-op chains and
+// loops, and reduction trees). A
 // mismatch names the first design that differs and writes the whole actual
 // listing to <fixture>.actual in the working directory.
 #include <gtest/gtest.h>
@@ -46,6 +52,7 @@
 #include "fuzz/diff_runner.h"
 #include "ir/analysis.h"
 #include "ir/deps.h"
+#include "lang/frontend.h"
 #include "rtl/verilog.h"
 #include "sched/force_directed.h"
 #include "sta/sta.h"
@@ -774,6 +781,174 @@ TEST(Digest, CheckFindingsMatchCapturedDigest) {
     }
   }
   expectMatchesFixture(actual, "check_digest.txt");
+}
+
+
+// ----------------------------------------------- frontend and Verilog text
+
+std::string readFixture(const std::string& rel) {
+  std::ifstream in(std::string(MPHLS_FIXTURE_DIR) + "/" + rel);
+  std::ostringstream s;
+  s << in.rdbuf();
+  return s.str();
+}
+
+/// BDL reduction tree over eight inputs: `leaves` leaf variables, each an
+/// input combined with a constant, then pairs of random pending variables
+/// combined until one is left.
+std::string treeBdl(int leaves, std::uint64_t seed) {
+  fuzz::Rng rng(seed);
+  static const char* kOps[] = {"+", "-", "*", "&", "|", "^"};
+  std::string s = numbered("proc tree", leaves);
+  s += "(";
+  for (int i = 0; i < 8; ++i) s += numbered("in i", i) + ": uint<16>, ";
+  s += "out o: uint<16>) {\n";
+  for (int k = 0; k < 2 * leaves - 1; ++k)
+    s += numbered("  var v", k) + ": uint<16>;\n";
+  std::vector<int> pending;
+  for (int k = 0; k < leaves; ++k) {
+    s += numbered("  v", k) + numbered(" = i", (long long)rng.below(8)) +
+         " " + kOps[rng.below(6)] + " " +
+         std::to_string(1 + rng.below(200)) + ";\n";
+    pending.push_back(k);
+  }
+  for (int m = leaves; pending.size() > 1; ++m) {
+    const std::size_t i = rng.below(pending.size());
+    const int a = pending[i];
+    pending.erase(pending.begin() + (std::ptrdiff_t)i);
+    const std::size_t j = rng.below(pending.size());
+    s += numbered("  v", m) + numbered(" = (v", a) + " " + kOps[rng.below(6)] +
+         numbered(" v", pending[j]) + numbered(") ^ i", (long long)rng.below(8)) +
+         ";\n";
+    pending[j] = m;
+  }
+  s += numbered("  o = v", pending.front()) + ";\n}\n";
+  return s;
+}
+
+/// Inlined calls, shadowed names and an out port read back: exercises the
+/// lowering's fresh-name rule ("t", "t.0", "helper.a", "helper.a.1", ...).
+const char* kNamesBdl = R"(
+proc helper(in a: uint<8>, out r: uint<8>) {
+  var t: uint<8>;
+  t = a + 1;
+  r = t * 2;
+}
+proc top(in x: uint<8>, out y: uint<8>, out t: uint<8>) {
+  var t2: uint<8>;
+  var a: uint<8>;
+  helper(x, t2);
+  helper(t2, a);
+  if (x > 1) { var a: uint<4>; a = 3; t2 = t2 + a; }
+  if (x > 3) { var t2: uint<8>; t2 = x; y = t2; } else { y = a; }
+  helper(y, t);
+  t = t + t2;
+}
+)";
+
+/// Well-formed sources of the text digests: the builtins, the regression
+/// corpus, 400 generated programs, the name-rule design, the
+/// gen_chain.py chains and loop designs of 400/1600/3200 ops, and
+/// reduction trees of 100/400/800 leaves (about 1100-8800 ops).
+std::vector<std::pair<std::string, std::string>> textSources() {
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const auto& d : designs::all())
+    sources.emplace_back(std::string("builtin=") + d.name, d.source);
+  for (const fuzz::CorpusEntry& e :
+       fuzz::loadCorpus(std::string(MPHLS_FIXTURE_DIR) + "/fuzz"))
+    sources.emplace_back("corpus=" + e.name, e.source);
+  for (std::uint64_t seed = 1; seed <= 400; ++seed)
+    sources.emplace_back("seed=" + std::to_string(seed),
+                         fuzz::generateProgram(seed).render());
+  sources.emplace_back("names", kNamesBdl);
+  for (const int n : {400, 1600, 3200}) {
+    sources.emplace_back(numbered("chain=", n),
+                         readFixture(numbered("clique/chain", n) + ".bdl"));
+    sources.emplace_back(numbered("loop=", n),
+                         loopBdl(n, 9000 + (std::uint64_t)n));
+  }
+  for (const int leaves : {100, 400, 800})
+    sources.emplace_back(numbered("tree=", leaves),
+                         treeBdl(leaves, 8000 + (std::uint64_t)leaves));
+  return sources;
+}
+
+/// Malformed sources: the digest pins each one's diagnostics.
+const char* const kBadBdl[] = {
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a @ 1; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a + 0x; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a + 0b; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a + 0b2; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a /* open",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a + 1 }",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = b; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { var a: uint<8>; y = a; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { var v: uint<8>; var v: "
+    "uint<4>; y = v; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a << 9; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { a = 1; y = a; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { g(a, y); }",
+    "proc f(in a: uint<8>, out y: uint<8>) { if = 3; }",
+    "proc f(in a: uint<8>,\tout y: uint<8>)\r\n{\v y\f= a + 0XfF + 0B11 "
+    "+ 0xAbC; }",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a + \xc3\xa9; }",
+    "proc f(in a_1: uint<8>, out Y_2: uint<8>) { Y_2 = a_1 # tail",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a; } // tail",
+    "proc f(in a: uint<8>, out y: uint<8>) { y = a; } $",
+    "",
+    "proc",
+    "var x: uint<8>;",
+};
+
+/// One frontend digest line: "<tag> ops=<n> fn=<hash of Function::dump()>",
+/// or "<tag> diag=<hash of the diagnostics>" when compilation fails.
+std::string frontendLine(const std::string& tag, const std::string& source) {
+  DiagEngine diags;
+  const std::optional<Function> fn = compileBdl(source, diags);
+  if (!fn) return tag + " diag=" + hex(fnv1a(diags.summary(), kFnvBasis));
+  return tag + numbered(" ops=", (long long)fn->numOps()) +
+         " fn=" + hex(fnv1a(fn->dump(), kFnvBasis));
+}
+
+TEST(Digest, FrontendMatchesCapturedDigest) {
+  std::vector<std::string> actual;
+  for (const auto& [tag, src] : textSources())
+    actual.push_back(frontendLine(tag, src));
+  long long k = 0;
+  for (const char* src : kBadBdl)
+    actual.push_back(frontendLine(numbered("bad=", k++), src));
+  expectMatchesFixture(actual, "frontend_digest.txt");
+}
+
+/// One Verilog digest line: "<tag> <config> bytes=<n> v=<hash>", or
+/// "<tag> <config> error" when synthesis throws.
+std::string verilogLine(const std::string& tag, const char* config,
+                        const std::string& source, const SynthesisOptions& so) {
+  const std::string head = tag + " " + config;
+  const auto r = synthesizeUnchecked(source, so);
+  if (!r) return head + " error";
+  const std::string v = emitVerilog(r->design);
+  return head + numbered(" bytes=", (long long)v.size()) +
+         " v=" + hex(fnv1a(v, kFnvBasis));
+}
+
+TEST(Digest, VerilogMatchesCapturedDigest) {
+  SynthesisOptions clique;
+  clique.fuMethod = FuAllocMethod::Clique;
+  clique.regMethod = RegAllocMethod::Clique;
+  SynthesisOptions force;
+  force.scheduler = SchedulerKind::ForceDirected;
+  std::vector<std::string> actual;
+  for (const auto& [tag, src] : textSources()) {
+    actual.push_back(verilogLine(tag, "default", src, SynthesisOptions{}));
+    // The 400-3200-op designs run the default configuration only.
+    if (tag.rfind("chain=", 0) == 0 || tag.rfind("loop=", 0) == 0 ||
+        tag.rfind("tree=", 0) == 0)
+      continue;
+    actual.push_back(verilogLine(tag, "clique", src, clique));
+    actual.push_back(verilogLine(tag, "force", src, force));
+  }
+  expectMatchesFixture(actual, "verilog_digest.txt");
 }
 
 }  // namespace
