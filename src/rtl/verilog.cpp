@@ -1,7 +1,8 @@
 #include "rtl/verilog.h"
 
-#include <set>
-#include <sstream>
+#include <charconv>
+#include <string_view>
+#include <type_traits>
 
 #include "common/bitutil.h"
 #include "obs/trace.h"
@@ -10,121 +11,200 @@ namespace mphls {
 
 namespace {
 
-std::string w(int width) {
-  std::ostringstream oss;
-  if (width > 1) oss << "[" << width - 1 << ":0] ";
-  return oss.str();
-}
+/// An unsigned number written in lowercase base 16, without prefix.
+struct Hex {
+  std::uint64_t v;
+};
 
-/// Verilog expression applying a wiring transform chain to `expr`.
-std::string xformExpr(std::string expr, int width,
-                      const std::vector<WireXform>& chain) {
-  for (const WireXform& x : chain) {
-    std::ostringstream oss;
-    switch (x.kind) {
-      case OpKind::ShlConst:
-        oss << "(" << x.width << "'d0 | ((" << expr << ") << " << x.imm
-            << "))";
-        break;
-      case OpKind::ShrConst:
-        oss << "((" << expr << ") >> " << x.imm << ")";
-        break;
-      case OpKind::SarConst:
-        oss << "($signed({{" << std::max(x.width - width, 0) << "{1'b0}}, "
-            << expr << "}) >>> " << x.imm << ")";
-        break;
-      case OpKind::Trunc:
-        if (x.width >= 63) {
-          oss << "(" << expr << ")";
-        } else {
-          oss << "((" << expr << ") & " << x.width << "'h" << std::hex
-              << truncBits(~0ULL, x.width) << std::dec << ")";
-        }
-        break;
-      case OpKind::ZExt:
-        // Width narrowing can shrink an extension's result below its source
-        // width; extension then truncates, i.e. keeps the low result bits.
-        if (x.width <= width) {
-          oss << "((" << expr << ") & " << x.width << "'h" << std::hex
-              << truncBits(~0ULL, x.width) << std::dec << ")";
-        } else {
-          oss << "{" << (x.width - width) << "'d0, " << expr << "}";
-        }
-        break;
-      case OpKind::SExt:
-        if (x.width <= width) {
-          oss << "((" << expr << ") & " << x.width << "'h" << std::hex
-              << truncBits(~0ULL, x.width) << std::dec << ")";
-        } else {
-          oss << "{{" << (x.width - width) << "{(" << expr << ")[" << width - 1
-              << "]}}, " << expr << "}";
-        }
-        break;
-      default:
-        oss << expr;
-        break;
-    }
-    expr = oss.str();
-    width = x.width;
+/// Appends text and numbers to the one output buffer of an emission.
+/// Numbers go through std::to_chars (decimal, or base 16 for Hex), which
+/// spells them exactly as the default-formatted iostreams did.
+class Writer {
+ public:
+  explicit Writer(std::string& out) : out_(out) {}
+
+  Writer& operator<<(std::string_view s) {
+    out_ += s;
+    return *this;
   }
-  return expr;
+  Writer& operator<<(char c) {
+    out_ += c;
+    return *this;
+  }
+  template <class T, class = std::enable_if_t<std::is_integral_v<T>>>
+  Writer& operator<<(T v) {
+    return number(v, 10);
+  }
+  Writer& operator<<(Hex h) { return number(h.v, 16); }
+
+ private:
+  template <class T>
+  Writer& number(T v, int base) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v, base);
+    out_.append(buf, r.ptr);
+    return *this;
+  }
+
+  std::string& out_;
+};
+
+/// "[w-1:0] " for a multi-bit declaration, nothing for a single bit.
+void declWidth(Writer& v, int width) {
+  if (width > 1) v << '[' << width - 1 << ":0] ";
 }
 
-std::string sourceExpr(const RtlDesign& d, const Source& s) {
-  std::ostringstream root;
+void rootExpr(Writer& v, const RtlDesign& d, const Source& s) {
   switch (s.kind) {
-    case Source::Kind::Reg: root << "r" << s.id; break;
+    case Source::Kind::Reg: v << 'r' << s.id; break;
     case Source::Kind::Port:
-      root << "in_" << d.fn.ports()[(std::size_t)s.id].name;
+      v << "in_" << d.fn.ports()[(std::size_t)s.id].name;
       break;
     case Source::Kind::Const:
-      root << s.rootWidth << "'d" << truncBits((std::uint64_t)s.imm,
-                                               s.rootWidth);
+      v << s.rootWidth << "'d"
+        << truncBits((std::uint64_t)s.imm, s.rootWidth);
       break;
-    case Source::Kind::Fu: root << "fu" << s.id << "_out"; break;
+    case Source::Kind::Fu: v << "fu" << s.id << "_out"; break;
   }
-  return xformExpr(root.str(), s.rootWidth, s.xform);
 }
 
-std::string opExpr(OpKind k, const std::string& a, const std::string& b,
-                   const std::string& c, int aw, int bw) {
-  std::ostringstream oss;
-  auto sa = [&] { return "$signed(" + a + ")"; };
-  auto sb = [&] { return "$signed(" + b + ")"; };
-  switch (k) {
-    case OpKind::Add: oss << a << " + " << b; break;
-    case OpKind::Sub: oss << a << " - " << b; break;
-    case OpKind::Mul: oss << a << " * " << b; break;
-    case OpKind::Div: oss << sa() << " / " << sb(); break;
-    case OpKind::UDiv: oss << a << " / " << b; break;
-    case OpKind::Mod: oss << sa() << " % " << sb(); break;
-    case OpKind::UMod: oss << a << " % " << b; break;
-    case OpKind::And: oss << a << " & " << b; break;
-    case OpKind::Or: oss << a << " | " << b; break;
-    case OpKind::Xor: oss << a << " ^ " << b; break;
-    case OpKind::Shl: oss << a << " << " << b; break;
-    case OpKind::Shr: oss << a << " >> " << b; break;
-    case OpKind::Sar: oss << sa() << " >>> " << b; break;
-    case OpKind::Not: oss << "~" << a; break;
-    case OpKind::Neg: oss << "-" << a; break;
-    case OpKind::Inc: oss << a << " + 1'b1"; break;
-    case OpKind::Dec: oss << a << " - 1'b1"; break;
-    case OpKind::Eq: oss << a << " == " << b; break;
-    case OpKind::Ne: oss << a << " != " << b; break;
-    case OpKind::Lt: oss << sa() << " < " << sb(); break;
-    case OpKind::Le: oss << sa() << " <= " << sb(); break;
-    case OpKind::Gt: oss << sa() << " > " << sb(); break;
-    case OpKind::Ge: oss << sa() << " >= " << sb(); break;
-    case OpKind::ULt: oss << a << " < " << b; break;
-    case OpKind::ULe: oss << a << " <= " << b; break;
-    case OpKind::UGt: oss << a << " > " << b; break;
-    case OpKind::UGe: oss << a << " >= " << b; break;
-    case OpKind::Select: oss << c << " ? " << a << " : " << b; break;
-    default: oss << a; break;
+/// The expression of `s` after its first `stages` wiring transforms: each
+/// stage wraps the text of the stages before it, written in place (a
+/// sign extension writes its operand twice).
+void stagedExpr(Writer& v, const RtlDesign& d, const Source& s,
+                std::size_t stages) {
+  if (stages == 0) return rootExpr(v, d, s);
+  const WireXform& x = s.xform[stages - 1];
+  const int width = stages == 1 ? s.rootWidth : s.xform[stages - 2].width;
+  auto inner = [&] { stagedExpr(v, d, s, stages - 1); };
+  auto mask = [&] {
+    v << "((";
+    inner();
+    v << ") & " << x.width << "'h" << Hex{truncBits(~0ULL, x.width)} << ')';
+  };
+  switch (x.kind) {
+    case OpKind::ShlConst:
+      v << '(' << x.width << "'d0 | ((";
+      inner();
+      v << ") << " << x.imm << "))";
+      break;
+    case OpKind::ShrConst:
+      v << "((";
+      inner();
+      v << ") >> " << x.imm << ')';
+      break;
+    case OpKind::SarConst:
+      v << "($signed({{" << std::max(x.width - width, 0) << "{1'b0}}, ";
+      inner();
+      v << "}) >>> " << x.imm << ')';
+      break;
+    case OpKind::Trunc:
+      if (x.width >= 63) {
+        v << '(';
+        inner();
+        v << ')';
+      } else {
+        mask();
+      }
+      break;
+    case OpKind::ZExt:
+      // Width narrowing can shrink an extension's result below its source
+      // width; extension then truncates, i.e. keeps the low result bits.
+      if (x.width <= width) {
+        mask();
+      } else {
+        v << '{' << (x.width - width) << "'d0, ";
+        inner();
+        v << '}';
+      }
+      break;
+    case OpKind::SExt:
+      if (x.width <= width) {
+        mask();
+      } else {
+        v << "{{" << (x.width - width) << "{(";
+        inner();
+        v << ")[" << width - 1 << "]}}, ";
+        inner();
+        v << '}';
+      }
+      break;
+    default:
+      inner();
+      break;
   }
-  (void)aw;
-  (void)bw;
-  return oss.str();
+}
+
+void sourceExpr(Writer& v, const RtlDesign& d, const Source& s) {
+  stagedExpr(v, d, s, s.xform.size());
+}
+
+/// The right-hand side of one FU action: the operator applied to the
+/// selected mux legs, each parenthesized; an absent operand reads "0".
+void opExpr(Writer& v, const RtlDesign& d, const FuAction& fa) {
+  const int arity = fa.kind == OpKind::Select ? 3 : opArity(fa.kind);
+  auto operand = [&](int p) {
+    if (p >= arity) {
+      v << '0';
+      return;
+    }
+    const MuxSpec& mux = d.ic.fuInput[(std::size_t)fa.fu][(std::size_t)p];
+    v << '(';
+    sourceExpr(v, d, mux.sources[(std::size_t)fa.muxSel[p]]);
+    v << ')';
+  };
+  auto a = [&] { operand(0); };
+  auto b = [&] { operand(1); };
+  auto sa = [&] {
+    v << "$signed(";
+    a();
+    v << ')';
+  };
+  auto sb = [&] {
+    v << "$signed(";
+    b();
+    v << ')';
+  };
+  auto infix = [&](auto lhs, std::string_view op, auto rhs) {
+    lhs();
+    v << op;
+    rhs();
+  };
+  switch (fa.kind) {
+    case OpKind::Add: infix(a, " + ", b); break;
+    case OpKind::Sub: infix(a, " - ", b); break;
+    case OpKind::Mul: infix(a, " * ", b); break;
+    case OpKind::Div: infix(sa, " / ", sb); break;
+    case OpKind::UDiv: infix(a, " / ", b); break;
+    case OpKind::Mod: infix(sa, " % ", sb); break;
+    case OpKind::UMod: infix(a, " % ", b); break;
+    case OpKind::And: infix(a, " & ", b); break;
+    case OpKind::Or: infix(a, " | ", b); break;
+    case OpKind::Xor: infix(a, " ^ ", b); break;
+    case OpKind::Shl: infix(a, " << ", b); break;
+    case OpKind::Shr: infix(a, " >> ", b); break;
+    case OpKind::Sar: infix(sa, " >>> ", b); break;
+    case OpKind::Not: v << '~'; a(); break;
+    case OpKind::Neg: v << '-'; a(); break;
+    case OpKind::Inc: a(); v << " + 1'b1"; break;
+    case OpKind::Dec: a(); v << " - 1'b1"; break;
+    case OpKind::Eq: infix(a, " == ", b); break;
+    case OpKind::Ne: infix(a, " != ", b); break;
+    case OpKind::Lt: infix(sa, " < ", sb); break;
+    case OpKind::Le: infix(sa, " <= ", sb); break;
+    case OpKind::Gt: infix(sa, " > ", sb); break;
+    case OpKind::Ge: infix(sa, " >= ", sb); break;
+    case OpKind::ULt: infix(a, " < ", b); break;
+    case OpKind::ULe: infix(a, " <= ", b); break;
+    case OpKind::UGt: infix(a, " > ", b); break;
+    case OpKind::UGe: infix(a, " >= ", b); break;
+    case OpKind::Select:
+      operand(2);
+      v << " ? ";
+      infix(a, " : ", b);
+      break;
+    default: a(); break;
+  }
 }
 
 }  // namespace
@@ -135,7 +215,8 @@ std::string emitVerilog(const RtlDesign& d) {
     for (const FuAction& fa : st.fuActions)
       MPHLS_CHECK(fa.cycles <= 1,
                   "Verilog emission supports unit-latency designs only");
-  std::ostringstream v;
+  std::string text;
+  Writer v(text);
   const Controller& ctrl = d.ctrl;
   const int stateBits = bitsForStates(ctrl.numStates());
 
@@ -148,25 +229,29 @@ std::string emitVerilog(const RtlDesign& d) {
   v << "module " << d.fn.name() << " (\n  input wire clk,\n"
     << "  input wire rst,\n";
   for (const auto& p : d.fn.ports()) {
-    if (p.isInput)
-      v << "  input wire " << w(p.width) << "in_" << p.name << ",\n";
-    else
-      v << "  output reg " << w(p.width) << "out_" << p.name << ",\n";
+    v << (p.isInput ? "  input wire " : "  output reg ");
+    declWidth(v, p.width);
+    v << (p.isInput ? "in_" : "out_") << p.name << ",\n";
   }
   v << "  output wire done\n);\n\n";
 
   // State register and codes.
   v << "  // controller state (binary encoded)\n";
-  v << "  reg " << w(stateBits) << "state;\n";
+  v << "  reg ";
+  declWidth(v, stateBits);
+  v << "state;\n";
   for (std::size_t s = 0; s < ctrl.numStates(); ++s)
     v << "  localparam S" << s << " = " << stateBits << "'d" << s << ";\n";
   v << "  assign done = (state == S" << ctrl.haltState.get() << ");\n\n";
 
   // Registers.
   v << "  // data-path registers\n";
-  for (int r = 0; r < d.regs.numRegs; ++r)
-    v << "  reg " << w(d.regs.regWidth[(std::size_t)r]) << "r" << r << ";\n";
-  v << "\n";
+  for (int r = 0; r < d.regs.numRegs; ++r) {
+    v << "  reg ";
+    declWidth(v, d.regs.regWidth[(std::size_t)r]);
+    v << 'r' << r << ";\n";
+  }
+  v << '\n';
 
   // Functional-unit input muxes as per-state selected wires, plus outputs.
   // Controls are resolved per state, so we emit one combinational block
@@ -175,9 +260,11 @@ std::string emitVerilog(const RtlDesign& d) {
     const FuInstance& fu = d.binding.fus[(std::size_t)f];
     v << "  // unit fu" << f << ": " << d.lib.component(fu.comp).name
       << " (";
-    for (OpKind k : fu.kinds) v << " " << opName(k);
+    for (OpKind k : fu.kinds) v << ' ' << opName(k);
     v << " )\n";
-    v << "  reg " << w(std::max(fu.width, 1)) << "fu" << f << "_out;\n";
+    v << "  reg ";
+    declWidth(v, std::max(fu.width, 1));
+    v << "fu" << f << "_out;\n";
   }
   v << "\n  always @* begin\n";
   for (int f = 0; f < d.binding.numFus(); ++f)
@@ -187,39 +274,9 @@ std::string emitVerilog(const RtlDesign& d) {
     if (st.fuActions.empty()) continue;
     v << "      S" << st.id.get() << ": begin\n";
     for (const FuAction& fa : st.fuActions) {
-      std::string a = "0", b = "0", c = "0";
-      int aw = 1, bw = 1;
-      auto leg = [&](int p) -> std::string {
-        const MuxSpec& mux = d.ic.fuInput[(std::size_t)fa.fu][(std::size_t)p];
-        const Source& s = mux.sources[(std::size_t)fa.muxSel[p]];
-        // Sequential append: GCC 12 -Wrestrict -O3 false positive on the
-        // temporary chain (same story as obs/vcd.cpp).
-        std::string e = "(";
-        e += sourceExpr(d, s);
-        e += ")";
-        return e;
-      };
-      if (fa.kind == OpKind::Select) {
-        a = leg(0);
-        b = leg(1);
-        c = leg(2);
-      } else {
-        int arity = opArity(fa.kind);
-        if (arity >= 1) {
-          a = leg(0);
-          aw = d.ic.fuInput[(std::size_t)fa.fu][0]
-                   .sources[(std::size_t)fa.muxSel[0]]
-                   .finalWidth();
-        }
-        if (arity >= 2) {
-          b = leg(1);
-          bw = d.ic.fuInput[(std::size_t)fa.fu][1]
-                   .sources[(std::size_t)fa.muxSel[1]]
-                   .finalWidth();
-        }
-      }
-      v << "        fu" << fa.fu << "_out = " << opExpr(fa.kind, a, b, c, aw, bw)
-        << ";\n";
+      v << "        fu" << fa.fu << "_out = ";
+      opExpr(v, d, fa);
+      v << ";\n";
     }
     v << "      end\n";
   }
@@ -236,21 +293,26 @@ std::string emitVerilog(const RtlDesign& d) {
   for (const CtrlState& st : ctrl.states) {
     v << "        S" << st.id.get() << ": begin\n";
     for (const RegAction& ra : st.regActions) {
-      const Source& s = d.ic.regInput[(std::size_t)ra.reg]
-                            .sources[(std::size_t)ra.muxSel];
-      v << "          r" << ra.reg << " <= " << sourceExpr(d, s) << ";\n";
+      v << "          r" << ra.reg << " <= ";
+      sourceExpr(v, d,
+                 d.ic.regInput[(std::size_t)ra.reg]
+                     .sources[(std::size_t)ra.muxSel]);
+      v << ";\n";
     }
     for (const PortAction& pa : st.portActions) {
-      const Source& s = d.ic.outPortInput[(std::size_t)pa.port]
-                            .sources[(std::size_t)pa.muxSel];
       v << "          out_" << d.fn.ports()[(std::size_t)pa.port].name
-        << " <= " << sourceExpr(d, s) << ";\n";
+        << " <= ";
+      sourceExpr(v, d,
+                 d.ic.outPortInput[(std::size_t)pa.port]
+                     .sources[(std::size_t)pa.muxSel]);
+      v << ";\n";
     }
     if (st.halt) {
       v << "          state <= S" << st.id.get() << ";\n";
     } else if (st.conditional) {
-      v << "          state <= (" << sourceExpr(d, st.cond)
-        << ") ? S" << st.nextTaken.get() << " : S" << st.nextNot.get()
+      v << "          state <= (";
+      sourceExpr(v, d, st.cond);
+      v << ") ? S" << st.nextTaken.get() << " : S" << st.nextNot.get()
         << ";\n";
     } else {
       v << "          state <= S" << st.next.get() << ";\n";
@@ -259,7 +321,7 @@ std::string emitVerilog(const RtlDesign& d) {
   }
   v << "        default: state <= S" << ctrl.initial.get() << ";\n";
   v << "      endcase\n    end\n  end\n\nendmodule\n";
-  return v.str();
+  return text;
 }
 
 }  // namespace mphls

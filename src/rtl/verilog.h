@@ -11,7 +11,10 @@ namespace mphls {
 
 /// Emit the whole design as a Verilog module named after the function.
 /// Interface: clk, rst (synchronous, active high), every BDL input/output
-/// port, and `done` (high in the halt state).
+/// port, and `done` (high in the halt state). The text is appended into one
+/// buffer as it is produced, every wiring transform chain written in place;
+/// the output is byte-identical to the stream-per-expression emitter it
+/// replaced (pinned by Digest.VerilogMatchesCapturedDigest).
 [[nodiscard]] std::string emitVerilog(const RtlDesign& design);
 
 }  // namespace mphls
