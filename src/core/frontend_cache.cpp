@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/options.h"
-#include "ir/verify.h"
 #include "lang/frontend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -80,8 +79,8 @@ std::shared_ptr<const Function> FrontendCache::get(const std::string& source,
   // wasteful but correct, and sweeps only race on a key they share after
   // it is already cached.
   obs::TraceSpan span("frontend.compile", top);
+  // compileBdl ends by verifying the function it lowered.
   Function fn = compileBdlOrThrow(source, top);
-  verifyOrThrow(fn);
   if (opt != OptLevel::None) optPipeline(opt).run(fn);
   auto shared = std::make_shared<const Function>(std::move(fn));
 

@@ -158,12 +158,6 @@ PortId Function::findPort(const std::string& name) const {
   return PortId::invalid();
 }
 
-VarId Function::findVar(const std::string& name) const {
-  for (const auto& v : vars_)
-    if (v.name == name) return v.id;
-  return VarId::invalid();
-}
-
 BlockId Function::findBlock(const std::string& name) const {
   for (const auto& b : blocks_)
     if (b.name == name) return b.id;

@@ -162,7 +162,6 @@ class Function {
   [[nodiscard]] std::size_t numLiveOps() const;
 
   [[nodiscard]] PortId findPort(const std::string& name) const;
-  [[nodiscard]] VarId findVar(const std::string& name) const;
   [[nodiscard]] BlockId findBlock(const std::string& name) const;
 
   /// Producing op of a value.

@@ -3,18 +3,27 @@
 #include "lang/lexer.h"
 #include "lang/lower.h"
 #include "lang/parser.h"
+#include "obs/trace.h"
 
 namespace mphls {
 
 std::optional<Function> compileBdl(const std::string& source,
                                    DiagEngine& diags,
                                    const std::string& top) {
-  Lexer lexer(source, diags);
-  auto tokens = lexer.tokenize();
+  std::vector<Token> tokens;
+  {
+    obs::TraceSpan span("lang.lex", [&] {
+      return "bytes=" + std::to_string(source.size());
+    });
+    tokens = Lexer(source, diags).tokenize();
+  }
   if (!diags.ok()) return std::nullopt;
 
-  Parser parser(std::move(tokens), diags);
-  ast::Design design = parser.parseDesign();
+  ast::Design design;
+  {
+    obs::TraceSpan span("lang.parse");
+    design = Parser(std::move(tokens), diags).parseDesign();
+  }
   if (!diags.ok()) return std::nullopt;
   if (design.procs.empty()) {
     diags.error({}, "no procedures in design");
@@ -22,7 +31,20 @@ std::optional<Function> compileBdl(const std::string& source,
   }
 
   std::string topName = top.empty() ? design.procs.back().name : top;
-  return lowerDesign(design, topName, diags);
+  // The lang.lower span's size (the ops lowered) is known only once it
+  // ends, so its begin and end events are recorded then, at the clock
+  // reads taken around the lowering. Lowering opens no spans of its own.
+  obs::Tracer& tracer = obs::Tracer::global();
+  const bool traced = tracer.enabled();
+  const double start = traced ? tracer.nowMicros() : 0;
+  std::optional<Function> fn = lowerDesign(design, topName, diags);
+  if (traced) {
+    const double end = tracer.nowMicros();
+    tracer.beginSpanAt("lang.lower", start,
+                       "ops=" + std::to_string(fn ? fn->numOps() : 0));
+    tracer.endSpanAt("lang.lower", end);
+  }
+  return fn;
 }
 
 Function compileBdlOrThrow(const std::string& source, const std::string& top) {

@@ -1,7 +1,6 @@
 #include "lang/lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <utility>
 
 namespace mphls {
 
@@ -60,6 +59,45 @@ std::string_view tokName(Tok t) {
   return "?";
 }
 
+namespace {
+
+// Character classes of the "C" locale (the program never changes it),
+// without the locale lookup of <cctype>.
+constexpr bool isDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool isAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool isIdentChar(char c) {
+  return isAlpha(c) || isDigit(c) || c == '_';
+}
+constexpr bool isSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+/// Value of a digit in base `base` (2, 10 or 16), or -1.
+constexpr int digitValue(char c, int base) {
+  int d = -1;
+  if (isDigit(c)) d = c - '0';
+  else if (c >= 'a' && c <= 'f') d = 10 + (c - 'a');
+  else if (c >= 'A' && c <= 'F') d = 10 + (c - 'A');
+  return d < base ? d : -1;
+}
+
+Tok keywordOr(std::string_view s, Tok ident) {
+  static constexpr std::pair<std::string_view, Tok> kKeywords[] = {
+      {"proc", Tok::KwProc},   {"in", Tok::KwIn},       {"out", Tok::KwOut},
+      {"var", Tok::KwVar},     {"if", Tok::KwIf},       {"else", Tok::KwElse},
+      {"while", Tok::KwWhile}, {"do", Tok::KwDo},       {"until", Tok::KwUntil},
+      {"int", Tok::KwInt},     {"uint", Tok::KwUint},   {"bool", Tok::KwBool},
+      {"true", Tok::KwTrue},   {"false", Tok::KwFalse},
+      {"trunc", Tok::KwTrunc}, {"zext", Tok::KwZext},   {"sext", Tok::KwSext},
+  };
+  for (const auto& [kw, tok] : kKeywords)
+    if (kw == s) return tok;
+  return ident;
+}
+
+}  // namespace
+
 char Lexer::peek(int ahead) const {
   std::size_t p = pos_ + static_cast<std::size_t>(ahead);
   return p < src_.size() ? src_[p] : '\0';
@@ -76,15 +114,21 @@ char Lexer::advance() {
   return c;
 }
 
+std::string_view Lexer::take(std::size_t n) {
+  std::string_view s = src_.substr(pos_, n);
+  pos_ += n;
+  col_ += static_cast<int>(n);
+  return s;
+}
+
 void Lexer::skipTrivia() {
   while (!atEnd()) {
     char c = peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (isSpace(c)) {
       advance();
-    } else if (c == '#') {
-      while (!atEnd() && peek() != '\n') advance();
-    } else if (c == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n') advance();
+    } else if (c == '#' || (c == '/' && peek(1) == '/')) {
+      std::size_t eol = src_.find('\n', pos_);
+      take((eol == std::string_view::npos ? src_.size() : eol) - pos_);
     } else if (c == '/' && peek(1) == '*') {
       SourceLoc start = here();
       advance();
@@ -106,73 +150,58 @@ Token Lexer::lexNumber() {
   Token t;
   t.kind = Tok::Number;
   t.loc = here();
-  std::uint64_t v = 0;
+  int base = 10;
+  const char* what = nullptr;
   if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-    advance();
-    advance();
-    bool any = false;
-    while (std::isxdigit(static_cast<unsigned char>(peek()))) {
-      char c = advance();
-      int d = std::isdigit(static_cast<unsigned char>(c))
-                  ? c - '0'
-                  : 10 + (std::tolower(c) - 'a');
-      v = v * 16 + static_cast<std::uint64_t>(d);
-      any = true;
-    }
-    if (!any) diags_.error(t.loc, "hex literal needs digits");
+    base = 16;
+    what = "hex literal needs digits";
   } else if (peek() == '0' && (peek(1) == 'b' || peek(1) == 'B')) {
-    advance();
-    advance();
-    bool any = false;
-    while (peek() == '0' || peek() == '1') {
-      v = v * 2 + static_cast<std::uint64_t>(advance() - '0');
-      any = true;
-    }
-    if (!any) diags_.error(t.loc, "binary literal needs digits");
-  } else {
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      v = v * 10 + static_cast<std::uint64_t>(advance() - '0');
+    base = 2;
+    what = "binary literal needs digits";
   }
+  if (base != 10) take(2);
+  std::size_t n = 0;
+  while (pos_ + n < src_.size() && digitValue(src_[pos_ + n], base) >= 0) ++n;
+  if (n == 0 && what) diags_.error(t.loc, what);
+  const auto b = static_cast<std::uint64_t>(base);
+  std::uint64_t v = 0;
+  bool fits = true;
+  for (char c : take(n)) {
+    const auto d = static_cast<std::uint64_t>(digitValue(c, base));
+    if (v > (~0ULL - d) / b) fits = false;
+    v = v * b + d;
+  }
+  if (!fits) diags_.error(t.loc, "integer literal does not fit in 64 bits");
   t.number = v;
   return t;
 }
 
 Token Lexer::lexIdent() {
-  static const std::unordered_map<std::string, Tok> kKeywords = {
-      {"proc", Tok::KwProc},   {"in", Tok::KwIn},       {"out", Tok::KwOut},
-      {"var", Tok::KwVar},     {"if", Tok::KwIf},       {"else", Tok::KwElse},
-      {"while", Tok::KwWhile}, {"do", Tok::KwDo},       {"until", Tok::KwUntil},
-      {"int", Tok::KwInt},     {"uint", Tok::KwUint},   {"bool", Tok::KwBool},
-      {"true", Tok::KwTrue},   {"false", Tok::KwFalse},
-      {"trunc", Tok::KwTrunc}, {"zext", Tok::KwZext},   {"sext", Tok::KwSext},
-  };
   Token t;
   t.loc = here();
-  std::string s;
-  while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-    s += advance();
-  auto it = kKeywords.find(s);
-  if (it != kKeywords.end()) {
-    t.kind = it->second;
-  } else {
-    t.kind = Tok::Ident;
-    t.text = std::move(s);
-  }
+  std::size_t n = 0;
+  while (pos_ + n < src_.size() && isIdentChar(src_[pos_ + n])) ++n;
+  const std::string_view s = take(n);
+  t.kind = keywordOr(s, Tok::Ident);
+  if (t.kind == Tok::Ident) t.text = s;
   return t;
 }
 
 std::vector<Token> Lexer::tokenize() {
   std::vector<Token> out;
+  // About one token per eight bytes of typical BDL; a low guess keeps the
+  // vector's peak near its final size.
+  out.reserve(src_.size() / 8 + 1);
   for (;;) {
     skipTrivia();
     if (atEnd()) break;
     SourceLoc loc = here();
     char c = peek();
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (isDigit(c)) {
       out.push_back(lexNumber());
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (isAlpha(c) || c == '_') {
       out.push_back(lexIdent());
       continue;
     }

@@ -1,5 +1,6 @@
 #include "lang/lower.h"
 
+#include <bit>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -62,8 +63,7 @@ class Lowerer {
         sym.kind = Symbol::Kind::OutPort;
         sym.port = fn_->addOutput(prm.name, prm.type.width, prm.type.isSigned);
         // Out ports are readable in BDL; back them with a shadow variable.
-        sym.var =
-            fn_->addVar(prm.name, prm.type.width, prm.type.isSigned);
+        sym.var = addVar(prm.name, prm.type);
       }
       scopes_.back().emplace(prm.name, sym);
     }
@@ -85,6 +85,8 @@ class Lowerer {
   BlockId cur_;
   std::vector<std::unordered_map<std::string, Symbol>> scopes_;
   std::unordered_set<std::string> callStack_;
+  /// Names of every variable added to fn_ (all distinct).
+  std::unordered_set<std::string> varNames_;
   int blockCounter_ = 0;
   int tempCounter_ = 0;
 
@@ -134,6 +136,12 @@ class Lowerer {
   }
 
   // ----------------------------------------------------------- expressions
+
+  /// Bits of an unsigned literal: its bit width, at least 1 (all 64 for
+  /// 2^64 - 1).
+  static int literalWidth(std::uint64_t v) {
+    return std::max(static_cast<int>(std::bit_width(v)), 1);
+  }
 
   /// Compile-time evaluation of literal-only subexpressions, done before
   /// widths are assigned so `3 * 4 + 2` is 14, not a 3-bit wraparound.
@@ -202,7 +210,7 @@ class Lowerer {
   TypedValue lowerExpr(const Expr& e) {
     if (e.kind == Expr::Kind::Binary || e.kind == Expr::Kind::Ternary) {
       if (auto folded = tryConstEval(e)) {
-        int width = std::max(bitsForStates(*folded + 1), 1);
+        int width = literalWidth(*folded);
         ValueId v =
             fn_->emitConst(cur_, static_cast<std::int64_t>(*folded), width);
         return {v, Type{width, /*isSigned=*/false}};
@@ -210,10 +218,10 @@ class Lowerer {
     }
     switch (e.kind) {
       case Expr::Kind::Number: {
-        int width = bitsForStates(e.number + 1);
+        int width = literalWidth(e.number);
         ValueId v = fn_->emitConst(cur_, static_cast<std::int64_t>(e.number),
-                                   std::max(width, 1));
-        return {v, Type{std::max(width, 1), /*isSigned=*/false}};
+                                   width);
+        return {v, Type{width, /*isSigned=*/false}};
       }
       case Expr::Kind::Bool: {
         ValueId v =
@@ -437,8 +445,7 @@ class Lowerer {
     Symbol sym;
     sym.kind = Symbol::Kind::Var;
     sym.type = s.declType;
-    sym.var = fn_->addVar(uniqueVarName(s.name), s.declType.width,
-                          s.declType.isSigned);
+    sym.var = addVar(uniqueVarName(s.name), s.declType);
     scopes_.back().emplace(s.name, sym);
     if (s.init) {
       TypedValue v = lowerExpr(*s.init);
@@ -557,8 +564,7 @@ class Lowerer {
       Symbol sym;
       sym.kind = Symbol::Kind::Var;
       sym.type = prm.type;
-      sym.var = fn_->addVar(uniqueVarName(s.callee + "." + prm.name),
-                            prm.type.width, prm.type.isSigned);
+      sym.var = addVar(uniqueVarName(s.callee + "." + prm.name), prm.type);
       if (prm.isInput) {
         TypedValue v = lowerExpr(arg);
         fn_->emitStore(cur_, sym.var, resize(v, prm.type.width));
@@ -602,8 +608,16 @@ class Lowerer {
     }
   }
 
+  /// Add a storage variable, indexing its name for uniqueVarName.
+  VarId addVar(const std::string& name, Type type) {
+    varNames_.insert(name);
+    return fn_->addVar(name, type.width, type.isSigned);
+  }
+
+  /// `base`, or `base.N` with a fresh N when a variable is already named
+  /// `base`.
   std::string uniqueVarName(const std::string& base) {
-    if (!fn_->findVar(base).valid()) return base;
+    if (!varNames_.count(base)) return base;
     return base + "." + std::to_string(tempCounter_++);
   }
 };

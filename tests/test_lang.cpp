@@ -69,6 +69,35 @@ TEST(Lexer, ReportsBadCharacter) {
   EXPECT_FALSE(d.ok());
 }
 
+// Literals up to 2^64 - 1 lex exactly in every base; one past it is an
+// error at the literal, not a silent wrap.
+TEST(Lexer, IntegerLiteralOverflowReported) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"18446744073709551615", "18446744073709551616"},
+      {"0xFFFFFFFFFFFFFFFF", "0x10000000000000000"},
+      {"0b1111111111111111111111111111111111111111111111111111111111111111",
+       "0b10000000000000000000000000000000000000000000000000000000000000000"},
+  };
+  for (const auto& [max, past] : cases) {
+    DiagEngine ok;
+    auto toks = Lexer(max, ok).tokenize();
+    EXPECT_TRUE(ok.ok()) << max;
+    ASSERT_EQ(toks.size(), 2u) << max;
+    EXPECT_EQ(toks[0].number, ~0ULL) << max;
+
+    const std::string src = std::string("y = ") + past + ";";
+    DiagEngine bad;
+    toks = Lexer(src, bad).tokenize();
+    ASSERT_EQ(bad.all().size(), 1u) << past;
+    EXPECT_EQ(bad.all()[0].message, "integer literal does not fit in 64 bits");
+    EXPECT_EQ(bad.all()[0].loc.line, 1);
+    EXPECT_EQ(bad.all()[0].loc.column, 5);
+    // The literal is still one token: lexing goes on after it.
+    ASSERT_EQ(toks.size(), 5u) << past;
+    EXPECT_EQ(toks[3].kind, Tok::Semi);
+  }
+}
+
 TEST(Lexer, TracksLineNumbers) {
   DiagEngine d;
   Lexer lx("a\nbb\n  ccc", d);
@@ -159,6 +188,27 @@ TEST(Lower, SimpleDatapath) {
   EXPECT_EQ(verifyFunction(fn), "");
   Interpreter in(fn);
   EXPECT_EQ(in.run({{"a", 6}, {"b", 7}}).outputs.at("y"), 43u);
+}
+
+// 2^64 - 1 keeps all 64 bits: a + (2^64 - 1) wraps to a - 1.
+TEST(Lower, MaxLiteralKeepsAllBits) {
+  Function fn = compileBdlOrThrow(
+      "proc f(in a: uint<64>, out y: uint<64>, out z: uint<64>) {"
+      " y = a + 18446744073709551615; z = a + (18446744073709551614 + 1); }");
+  Interpreter in(fn);
+  const auto out = in.run({{"a", 5}}).outputs;
+  EXPECT_EQ(out.at("y"), 4u);
+  EXPECT_EQ(out.at("z"), 4u);
+}
+
+TEST(Lower, OverflowingLiteralRejected) {
+  DiagEngine d;
+  EXPECT_FALSE(compileBdl(
+      "proc f(in a: uint<8>, out y: uint<8>) { y = a + 99999999999999999999; }",
+      d));
+  ASSERT_EQ(d.all().size(), 1u);
+  EXPECT_EQ(d.all()[0].str(),
+            "error at 1:49: integer literal does not fit in 64 bits");
 }
 
 TEST(Lower, WidthTruncationOnAssign) {

@@ -2,7 +2,8 @@
 // export), metrics registry, VCD writer golden-parse, the simulation
 // recorder (waveform final values vs simulator end state, FSM coverage
 // vs an independent recount of the controller graph), single-source
-// stage timing, and ThreadPool worker track naming.
+// stage timing, the frontend's sub-spans, and ThreadPool worker track
+// naming.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +20,9 @@
 #include "common/thread_pool.h"
 #include "core/designs.h"
 #include "core/dse.h"
+#include "core/frontend_cache.h"
 #include "core/synthesizer.h"
+#include "lang/frontend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/vcd.h"
@@ -528,6 +531,68 @@ TEST(SimTrace, CheckSpansCarryTheirSize) {
                         "check.schedule " + ops, "check.binding " + ops,
                         "check.controller " + states, "check.timing " + states,
                         "check.netlist " + ops}));
+}
+
+/// (name, parent span, detail) of every span recorded on one track, in
+/// begin order.
+std::vector<std::vector<std::string>> spanTree() {
+  std::vector<std::vector<std::string>> out;
+  for (const auto& track : obs::Tracer::global().snapshot()) {
+    std::vector<std::string> stack;
+    for (const auto& e : track.events) {
+      if (e.phase == 'B') {
+        out.push_back({e.name, stack.empty() ? "" : stack.back(), e.arg});
+        stack.push_back(e.name);
+      } else if (e.phase == 'E') {
+        EXPECT_FALSE(stack.empty());
+        EXPECT_EQ(stack.back(), e.name);
+        stack.pop_back();
+      }
+    }
+    EXPECT_TRUE(stack.empty());
+  }
+  return out;
+}
+
+// compileBdl shows its three stages, in order and sized, under whichever
+// span compiles: frontend.compile on a FrontendCache miss, nothing above
+// them under Synthesizer::synthesizeSource.
+TEST(SimTrace, FrontendSubSpansNestInOrderWithTheirSize) {
+  TracerReset guard;
+  FrontendCache::global().clear();
+  const std::string src = designs::diffeqSource();
+  const std::string bytes = "bytes=" + std::to_string(src.size());
+  const std::string ops =
+      "ops=" + std::to_string(compileBdlOrThrow(src).numOps());
+
+  obs::Tracer::global().enable();
+  (void)FrontendCache::global().get(src, "", OptLevel::None);
+  obs::Tracer::global().disable();
+  using Spans = std::vector<std::vector<std::string>>;
+  EXPECT_EQ(spanTree(), (Spans{{"frontend.compile", "", ""},
+                               {"lang.lex", "frontend.compile", bytes},
+                               {"lang.parse", "frontend.compile", ""},
+                               {"lang.lower", "frontend.compile", ops}}));
+
+  obs::Tracer::global().clear();
+  obs::Tracer::global().enable();
+  (void)Synthesizer(SynthesisOptions{}).synthesizeSource(src);
+  obs::Tracer::global().disable();
+  Spans top;
+  for (const auto& span : spanTree())
+    if (span[1].empty()) top.push_back(span);
+  ASSERT_GE(top.size(), 4u);
+  EXPECT_EQ(Spans(top.begin(), top.begin() + 4),
+            (Spans{{"lang.lex", "", bytes},
+                   {"lang.parse", "", ""},
+                   {"lang.lower", "", ops},
+                   {"stage.optimize", "", ""}}));
+
+  // With the tracer off, compiling records nothing.
+  obs::Tracer::global().clear();
+  (void)compileBdlOrThrow(src);
+  EXPECT_EQ(obs::Tracer::global().eventCount(), 0u);
+  FrontendCache::global().clear();
 }
 
 TEST(SimTrace, AllocSubSpansNestUnderStageAllocate) {
