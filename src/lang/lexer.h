@@ -1,7 +1,7 @@
 // Hand-written lexer for BDL. Supports decimal / hex (0x) / binary (0b)
 // literals (rejected when they do not fit in 64 bits), '#' and '//' line
 // comments, and '/* */' block comments. Identifiers and numbers are
-// scanned by index and each token's text is built once.
+// scanned by index; an identifier token views its spelling in the source.
 #pragma once
 
 #include <string_view>

@@ -7,14 +7,13 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "common/diag.h"
 
 namespace mphls {
 
-enum class Tok {
+enum class Tok : std::uint8_t {
   End,
   Ident,
   Number,
@@ -37,7 +36,9 @@ enum class Tok {
 
 struct Token {
   Tok kind = Tok::End;
-  std::string text;        ///< identifier spelling
+  /// Identifier spelling: a view into the lexed source, which must outlive
+  /// the token (the parser copies what the AST keeps).
+  std::string_view text;
   std::uint64_t number = 0;  ///< numeric literal payload
   SourceLoc loc;
 };
