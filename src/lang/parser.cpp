@@ -242,6 +242,7 @@ ExprPtr makeBinary(BinOp op, ExprPtr a, ExprPtr b, SourceLoc loc) {
   e->kind = Expr::Kind::Binary;
   e->binOp = op;
   e->loc = loc;
+  e->children.reserve(2);
   e->children.push_back(std::move(a));
   e->children.push_back(std::move(b));
   return e;
@@ -260,6 +261,7 @@ ExprPtr Parser::parseTernary() {
     auto t = parseTernary();
     expect(Tok::Colon, "in ternary expression");
     auto f = parseTernary();
+    e->children.reserve(3);
     e->children.push_back(std::move(c));
     e->children.push_back(std::move(t));
     e->children.push_back(std::move(f));
@@ -410,30 +412,31 @@ ExprPtr Parser::parseMultiplicative() {
 }
 
 ExprPtr Parser::parseUnary() {
+  UnOp op;
+  if (at(Tok::Minus)) {
+    op = UnOp::Neg;
+  } else if (at(Tok::Tilde)) {
+    op = UnOp::Not;
+  } else if (at(Tok::Bang)) {
+    op = UnOp::LogicalNot;
+  } else {
+    return parsePrimary();
+  }
   auto e = std::make_unique<Expr>();
   e->loc = cur().loc;
-  if (accept(Tok::Minus)) {
-    e->kind = Expr::Kind::Unary;
-    e->unOp = UnOp::Neg;
-    e->children.push_back(parseUnary());
-    return e;
-  }
-  if (accept(Tok::Tilde)) {
-    e->kind = Expr::Kind::Unary;
-    e->unOp = UnOp::Not;
-    e->children.push_back(parseUnary());
-    return e;
-  }
-  if (accept(Tok::Bang)) {
-    e->kind = Expr::Kind::Unary;
-    e->unOp = UnOp::LogicalNot;
-    e->children.push_back(parseUnary());
-    return e;
-  }
-  return parsePrimary();
+  advance();
+  e->kind = Expr::Kind::Unary;
+  e->unOp = op;
+  e->children.push_back(parseUnary());
+  return e;
 }
 
 ExprPtr Parser::parsePrimary() {
+  if (accept(Tok::LParen)) {
+    auto inner = parseExpr();
+    expect(Tok::RParen, "to close parenthesized expression");
+    return inner;
+  }
   auto e = std::make_unique<Expr>();
   e->loc = cur().loc;
 
@@ -478,11 +481,6 @@ ExprPtr Parser::parsePrimary() {
     e->name = cur().text;
     advance();
     return e;
-  }
-  if (accept(Tok::LParen)) {
-    auto inner = parseExpr();
-    expect(Tok::RParen, "to close parenthesized expression");
-    return inner;
   }
   diags_.error(cur().loc, "expected an expression");
   advance();
