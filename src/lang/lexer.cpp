@@ -82,7 +82,8 @@ constexpr int digitValue(char c, int base) {
   return d < base ? d : -1;
 }
 
-Tok keywordOr(std::string_view s, Tok ident) {
+/// The keyword spelled `s`, or Tok::Ident.
+Tok keywordOrIdent(std::string_view s) {
   static constexpr std::pair<std::string_view, Tok> kKeywords[] = {
       {"proc", Tok::KwProc},   {"in", Tok::KwIn},       {"out", Tok::KwOut},
       {"var", Tok::KwVar},     {"if", Tok::KwIf},       {"else", Tok::KwElse},
@@ -93,7 +94,7 @@ Tok keywordOr(std::string_view s, Tok ident) {
   };
   for (const auto& [kw, tok] : kKeywords)
     if (kw == s) return tok;
-  return ident;
+  return Tok::Ident;
 }
 
 }  // namespace
@@ -182,7 +183,7 @@ Token Lexer::lexIdent() {
   std::size_t n = 0;
   while (pos_ + n < src_.size() && isIdentChar(src_[pos_ + n])) ++n;
   const std::string_view s = take(n);
-  t.kind = keywordOr(s, Tok::Ident);
+  t.kind = keywordOrIdent(s);
   if (t.kind == Tok::Ident) t.text = s;
   return t;
 }

@@ -783,7 +783,6 @@ TEST(Digest, CheckFindingsMatchCapturedDigest) {
   expectMatchesFixture(actual, "check_digest.txt");
 }
 
-
 // ----------------------------------------------- frontend and Verilog text
 
 std::string readFixture(const std::string& rel) {
